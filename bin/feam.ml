@@ -1793,7 +1793,10 @@ let cmd_stats debug scenario_name from_site to_site binary basic_only lint
     format out =
   setup_logs debug;
   Feam_obs.Prof.set_enabled true;
+  (* one batch over one world, so the probe memo's counters (and its
+     cache.hit_rate gauge) are part of the exposition *)
   let result, _clock =
+    Feam_core.Probe.with_memo @@ fun () ->
     run_predict_pipeline ~announce_source:false ~lint_fleet:true scenario_name
       from_site to_site binary basic_only lint
   in

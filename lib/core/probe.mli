@@ -50,9 +50,28 @@ val foreign :
   Bundle.probe ->
   probe_result
 
+(** Comment-stripped fingerprint of a probe image: a content hash of its
+    parsed spec without the provenance comments, so recompiles of the
+    same probe (each with a fresh build id) share one fingerprint while a
+    real change (needed libraries, interpreter, ...) shows.  Unparsable
+    images hash their raw bytes. *)
+val probe_fingerprint : string -> string
+
+(** [with_memo f] runs [f] with the probe-outcome memo on: within it,
+    {!test_stack} calls with the same site, stack, environment, target C
+    library, config and bundle content (probe fingerprints and library
+    copy hashes) run the probes once.  A hit replays the miss's effects
+    in order — site writes, build-id draws (re-stamping the compiled
+    images), clock charges and journal records — so it leaves the state a
+    second run would.  The memo is dropped when [f] returns; wrap only
+    batches over one fixed world, since it never detects a site change.
+    Hits and misses count as [probe.memo.hit] / [probe.memo.miss]. *)
+val with_memo : (unit -> 'a) -> 'a
+
 (** Full stack test: native probe when possible, then every shipped
     probe.  Passes only if all applicable probes pass; errors when no
-    probe can be run at all (the stack cannot be vouched for). *)
+    probe can be run at all (the stack cannot be vouched for).
+    Memoized inside {!with_memo}. *)
 val test_stack :
   ?clock:Feam_util.Sim_clock.t ->
   Config.t ->

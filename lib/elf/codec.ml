@@ -68,7 +68,9 @@ module Reader = struct
   let length t = String.length t.data
 
   let check t off n =
-    if off < 0 || n < 0 || off + n > String.length t.data then
+    (* [off > len - n], not [off + n > len]: a hostile size near
+       [max_int] would wrap the sum negative and pass the check *)
+    if off < 0 || n < 0 || off > String.length t.data - n then
       raise (Truncated (Printf.sprintf "read of %d bytes at offset %d (size %d)" n off (String.length t.data)))
 
   let u8 t off =

@@ -116,19 +116,6 @@ let capture_site site =
     ss_inventory = inventory;
   }
 
-(* Probe images embed a fresh [Build_id] per compile, so raw probe bytes
-   differ between two captures of the same world (and between epochs
-   that didn't touch the home site).  Fingerprint the parsed spec with
-   the provenance comments dropped instead: the probe's loader-relevant
-   content, stable across recompiles, still sensitive to real home-site
-   change (different needed libs, different interp, ...). *)
-let probe_fingerprint bytes =
-  match Feam_elf.Reader.spec_of_bytes bytes with
-  | Ok spec ->
-    digest
-      (Fmt.str "%a" Feam_elf.Spec.pp { spec with Feam_elf.Spec.comments = [] })
-  | Error _ -> digest bytes
-
 let capture_binary (binary : Testset.binary) =
   let config = Feam_core.Config.default in
   let env =
@@ -164,7 +151,7 @@ let capture_binary (binary : Testset.binary) =
         @ List.map
             (fun p ->
               ("probe:" ^ p.Bundle.probe_name,
-               probe_fingerprint p.Bundle.probe_bytes))
+               Probe.probe_fingerprint p.Bundle.probe_bytes))
             bundle.Bundle.probes
         @ List.map (fun u -> ("unlocatable:" ^ u, "missing")) bundle.Bundle.unlocatable
         @ [
@@ -401,6 +388,7 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
   in
   (* Baseline: evaluate every cell once. *)
   let cells0 =
+    Feam_core.Probe.with_memo @@ fun () ->
     List.map (fun (b, t) -> predict_cell b t) (all_cells sites0 binaries0)
   in
   let base_snapshot =
@@ -429,6 +417,7 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
       in
       let plan = Invalidate.affected prev.er_snapshot candidate in
       let reevaluated =
+        Feam_core.Probe.with_memo @@ fun () ->
         List.map
           (fun (c : Invalidate.cell_id) ->
             let binary =
@@ -484,20 +473,19 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
   let final = List.nth epochs_list (List.length epochs_list - 1) in
   let crosscheck =
     let full =
-      List.map
-        (fun (b, t) -> predict_cell b t)
-        (let active =
-           (* replay the toggles to recover the final active set *)
-           let rec replay k active =
-             if k > epochs then active
-             else
-               let p = draw ~seed ~epoch:k ~site_names ~candidates in
-               replay (k + 1) (fst (toggle active p))
-           in
-           replay 1 []
-         in
-         let sites, binaries = build_world params specs benchmarks active in
-         all_cells sites binaries)
+      let active =
+        (* replay the toggles to recover the final active set *)
+        let rec replay k active =
+          if k > epochs then active
+          else
+            let p = draw ~seed ~epoch:k ~site_names ~candidates in
+            replay (k + 1) (fst (toggle active p))
+        in
+        replay 1 []
+      in
+      let sites, binaries = build_world params specs benchmarks active in
+      Feam_core.Probe.with_memo @@ fun () ->
+      List.map (fun (b, t) -> predict_cell b t) (all_cells sites binaries)
     in
     let a =
       cells_doc ~epoch:final.er_snapshot.Snapshot.epoch ~seed

@@ -211,10 +211,14 @@ let migrate ?clock ?(bundle_filter = fun b -> b) (params : Params.t) binary
 (* All migrations of the corpus: each binary to every *other* site with a
    matching MPI implementation.  The describe memo is enabled for the
    run: the same library image re-described at the same site across
-   cells parses once (hit rate surfaces in bdc.describe_cache metrics). *)
+   cells parses once (hit rate surfaces in bdc.describe_cache metrics).
+   So is the probe memo: the run is one batch over a fixed world, and a
+   stack probed under the same session and bundle content is probed
+   once (probe.memo metrics). *)
 let run_all ?clock ?bundle_filter params sites binaries =
   Feam_core.Bdc.set_describe_memo ();
   Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  Feam_core.Probe.with_memo @@ fun () ->
   List.concat_map
     (fun binary ->
       sites

@@ -23,7 +23,11 @@ type state = {
   mutable next_seq : int;
   mutable records : Json.t list; (* reversed *)
   mutable flushed_at : int;      (* record count at the last flush *)
+  mutable captured : entry list option; (* inside {!capture}, reversed *)
 }
+
+(* A record before stamping: its type and the caller's fields. *)
+and entry = string * (string * Json.t) list
 
 let st =
   {
@@ -33,6 +37,7 @@ let st =
     next_seq = 1;
     records = [];
     flushed_at = -1;
+    captured = None;
   }
 
 let enabled () = st.enabled
@@ -86,7 +91,9 @@ let disable () =
 (* Append one record.  [seq] and the current span id are stamped here;
    everything else is the caller's fields. *)
 let record ?(fields = []) kind =
-  if st.enabled then begin
+  match st.captured with
+  | Some l -> st.captured <- Some ((kind, fields) :: l)
+  | None when st.enabled ->
     let span =
       match Feam_obs.Trace.current_span_id () with
       | Some id -> Json.Int id
@@ -102,7 +109,28 @@ let record ?(fields = []) kind =
     st.next_seq <- st.next_seq + 1;
     st.records <- r :: st.records;
     Feam_obs.Metrics.incr ~labels:[ ("type", kind) ] "flightrec.records"
-  end
+  | None -> ()
+
+(* Run [f] with its records held back, enabled or not, and return
+   them oldest first: the caller decides when (and how often) they
+   land, through {!replay}. *)
+let capture f =
+  let outer = st.captured in
+  st.captured <- Some [];
+  let finish () =
+    let inner = Option.value st.captured ~default:[] in
+    st.captured <- outer;
+    List.rev inner
+  in
+  match f () with
+  | r -> (r, finish ())
+  | exception e ->
+    ignore (finish ());
+    raise e
+
+(* Append captured records, stamped with the current sequence number
+   and span as if emitted now. *)
+let replay entries = List.iter (fun (kind, fields) -> record ~fields kind) entries
 
 (* A raw fact consulted during discovery — an objdump/readelf/ldd
    parse, an environment probe, a library location. *)

@@ -19,6 +19,18 @@ val enabled : unit -> bool
     innermost open {!Feam_obs.Trace} span id are stamped automatically. *)
 val record : ?fields:(string * Feam_util.Json.t) list -> string -> unit
 
+(** A record before stamping: its type and fields. *)
+type entry = string * (string * Feam_util.Json.t) list
+
+(** [capture f] runs [f] with every record it emits held back — whether
+    or not journaling is on — and returns them, oldest first.  Nothing
+    reaches the journal until the caller passes them to {!replay}. *)
+val capture : (unit -> 'a) -> 'a * entry list
+
+(** Append captured records in order, each stamped with the sequence
+    number and span current at replay time. *)
+val replay : entry list -> unit
+
 (** A raw fact consulted during discovery (objdump parse, ldd walk,
     environment probe, library location). *)
 val evidence :

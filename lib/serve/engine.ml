@@ -88,6 +88,7 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
   Feam_core.Bdc.set_describe_memo ();
   let sites, binaries = Driftrun.build_world params specs benchmarks [] in
   let cells =
+    Feam_core.Probe.with_memo @@ fun () ->
     List.map
       (fun (b, target) -> Driftrun.predict_cell b target)
       (Driftrun.all_cells sites binaries)
@@ -145,7 +146,10 @@ let affected_cells t (changes : Evidence.Store.change list) =
           owners)
       t.cells
 
+(* One batch over the current world: the probe memo lives for exactly
+   this call, so evidence updates between batches are always seen. *)
 let reevaluate t cells =
+  Feam_core.Probe.with_memo @@ fun () ->
   List.map
     (fun (c : Snapshot.cell) ->
       let binary =
@@ -167,6 +171,7 @@ let extend_matrix t =
       pairs
   in
   let evaluated =
+    Feam_core.Probe.with_memo @@ fun () ->
     List.map (fun (b, target) -> Driftrun.predict_cell b target) fresh
   in
   let by_key = Hashtbl.create 1024 in

@@ -16,11 +16,25 @@ type kind =
 
 type file = { kind : kind; declared_size : int }
 
-type t = { mutable files : (string, file) Hashtbl.t }
+(* A mutation: the path, and the file written there or [None] for a
+   removal. *)
+type change = string * file option
 
-let create () = { files = Hashtbl.create 256 }
+(* [journal] holds the mutations made during an enclosing {!capture},
+   newest first. *)
+type t = {
+  mutable files : (string, file) Hashtbl.t;
+  mutable journal : change list option;
+}
 
-let copy t = { files = Hashtbl.copy t.files }
+let create () = { files = Hashtbl.create 256; journal = None }
+
+let copy t = { files = Hashtbl.copy t.files; journal = None }
+
+let log t path change =
+  match t.journal with
+  | Some l -> t.journal <- Some ((path, change) :: l)
+  | None -> ()
 
 (* Normalize an absolute path: collapse "//" and trailing "/", resolve
    "." and ".." textually. *)
@@ -60,9 +74,30 @@ let add ?declared_size t path kind =
   let declared_size =
     match declared_size with Some s -> s | None -> default_size kind
   in
-  Hashtbl.replace t.files path { kind; declared_size }
+  let file = { kind; declared_size } in
+  Hashtbl.replace t.files path file;
+  log t path (Some file)
 
-let remove t path = Hashtbl.remove t.files (normalize path)
+let remove t path =
+  let path = normalize path in
+  Hashtbl.remove t.files path;
+  log t path None
+
+(* Run [f] and return the mutations it made, oldest first.  They still
+   happen; an enclosing capture sees them too. *)
+let capture t f =
+  let outer = t.journal in
+  t.journal <- Some [];
+  let finish () =
+    let inner = Option.value t.journal ~default:[] in
+    t.journal <- Option.map (fun o -> inner @ o) outer;
+    List.rev inner
+  in
+  match f () with
+  | r -> (r, finish ())
+  | exception e ->
+    ignore (finish ());
+    raise e
 
 (* Resolve symlinks (bounded depth to terminate on cycles). *)
 let rec resolve ?(depth = 16) t path =
@@ -141,7 +176,11 @@ let remove_tree t dir =
         if String.starts_with ~prefix p || p = dir then p :: acc else acc)
       t.files []
   in
-  List.iter (Hashtbl.remove t.files) doomed
+  List.iter
+    (fun p ->
+      Hashtbl.remove t.files p;
+      log t p None)
+    doomed
 
 (* Total declared size below a directory: `du -s`. *)
 let du t dir =

@@ -32,6 +32,15 @@ val add : ?declared_size:int -> t -> string -> kind -> unit
 
 val remove : t -> string -> unit
 
+(** A recorded mutation: the normalized path, and the file written there
+    or [None] for a removal. *)
+type change = string * file option
+
+(** [capture t f] runs [f] and also returns the mutations it made to
+    [t], oldest first.  Captures nest: an enclosing capture sees the
+    inner one's mutations too. *)
+val capture : t -> (unit -> 'a) -> 'a * change list
+
 (** Resolve symlinks (bounded depth; cycles yield [None]); returns the
     real path and the file. *)
 val resolve : ?depth:int -> t -> string -> (string * file) option

@@ -10,8 +10,13 @@ let counter = ref 0
 
 let reset () = counter := 0
 
+let serial () = !counter
+
+let of_serial ~site_name n =
+  let raw = Printf.sprintf "%s/%d" site_name n in
+  Printf.sprintf "GNU Build ID: %s" (Digest.to_hex (Digest.string raw))
+
 (* A .comment-style build-id string, unique per call. *)
 let next ~site_name =
   incr counter;
-  let raw = Printf.sprintf "%s/%d" site_name !counter in
-  Printf.sprintf "GNU Build ID: %s" (Digest.to_hex (Digest.string raw))
+  of_serial ~site_name !counter

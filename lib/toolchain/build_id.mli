@@ -9,3 +9,9 @@ val reset : unit -> unit
 
 (** A fresh .comment-style build-id string. *)
 val next : site_name:string -> string
+
+(** The serial of the last id issued (0 after {!reset}). *)
+val serial : unit -> int
+
+(** The id {!next} returns for serial [n] at [site_name]. *)
+val of_serial : site_name:string -> int -> string

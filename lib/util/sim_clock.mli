@@ -7,10 +7,19 @@ type t
 
 val create : unit -> t
 
+(** A clock that also keeps each charge, so a computation's time can be
+    re-charged elsewhere amount by amount (the float total then matches
+    charging the original clock directly). *)
+val recording : unit -> t
+
 (** @raise Invalid_argument on negative durations. *)
 val charge : t -> float -> unit
 
 val elapsed : t -> float
+
+(** A recording clock's charges, oldest first; [[]] for other clocks. *)
+val charges : t -> float list
+
 val reset : t -> unit
 
 (** "3m42s"-style rendering. *)

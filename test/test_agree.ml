@@ -325,7 +325,7 @@ let suite =
         test_report_deterministic;
       Alcotest.test_case "keep subsets only remove their own perturbation"
         `Quick test_keep_subset_stable;
-      QCheck_alcotest.to_alcotest prop_seed_stability;
+      Qseed.to_alcotest prop_seed_stability;
       Alcotest.test_case "verdict lattice" `Quick test_verdict_lattice;
       Alcotest.test_case "predictor claims" `Quick test_claims;
       Alcotest.test_case "seed corpus surfaces disagreements" `Quick

@@ -409,7 +409,7 @@ let suite =
       Alcotest.test_case "unparsable bytes still get facts" `Quick
         test_facts_unparsable;
       Alcotest.test_case "memo hit/miss accounting" `Quick test_facts_memo_hits;
-      QCheck_alcotest.to_alcotest prop_facts_stable;
+      Qseed.to_alcotest prop_facts_stable;
       Alcotest.test_case "abi-skew" `Quick test_abi_skew;
       Alcotest.test_case "fleet-orphan" `Quick test_fleet_orphan;
       Alcotest.test_case "glibc-laggard" `Quick test_glibc_laggard;

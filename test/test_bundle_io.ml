@@ -175,8 +175,8 @@ let suite =
       Alcotest.test_case "base64 vectors" `Quick test_base64_vectors;
       Alcotest.test_case "base64 binary" `Quick test_base64_binary;
       Alcotest.test_case "base64 rejects" `Quick test_base64_rejects;
-      QCheck_alcotest.to_alcotest prop_base64_roundtrip;
-      QCheck_alcotest.to_alcotest prop_base64_length;
+      Qseed.to_alcotest prop_base64_roundtrip;
+      Qseed.to_alcotest prop_base64_length;
       Alcotest.test_case "bundle roundtrip" `Quick test_bundle_roundtrip;
       Alcotest.test_case "parsed bundle drives target phase" `Quick
         test_parsed_bundle_usable_for_target_phase;

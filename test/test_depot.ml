@@ -272,12 +272,12 @@ let test_plan_journal_replays_byte_for_byte () =
 let suite =
   ( "depot",
     [
-      QCheck_alcotest.to_alcotest prop_chash_stable;
-      QCheck_alcotest.to_alcotest prop_chash_distinct;
+      Qseed.to_alcotest prop_chash_stable;
+      Qseed.to_alcotest prop_chash_distinct;
       Alcotest.test_case "intern hit/miss" `Quick test_intern_hit_miss;
       Alcotest.test_case "gc keeps pinned and roots" `Quick
         test_gc_keeps_pinned_and_roots;
-      QCheck_alcotest.to_alcotest prop_gc_never_sweeps_reachable;
+      Qseed.to_alcotest prop_gc_never_sweeps_reachable;
       Alcotest.test_case "save/load round-trip" `Quick test_save_load_roundtrip;
       Alcotest.test_case "manifest export byte-identical" `Quick
         test_manifest_export_byte_identical;

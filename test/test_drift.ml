@@ -508,7 +508,7 @@ let suite =
         test_merge_replaces_by_key;
       Alcotest.test_case "unknown atoms invalidate conservatively" `Quick
         test_unknown_atom_is_conservative;
-      QCheck_alcotest.to_alcotest prop_flips_within_affected;
+      Qseed.to_alcotest prop_flips_within_affected;
       Alcotest.test_case "incremental verdicts equal a full pass" `Slow
         test_sequence_incremental_matches_full;
       Alcotest.test_case "sequence artifacts are deterministic" `Slow

@@ -199,7 +199,7 @@ let suite =
       Alcotest.test_case "elf hash" `Quick test_elf_hash;
       Alcotest.test_case "machine codes" `Quick test_machine_codes;
       Alcotest.test_case "machine uname" `Quick test_machine_uname_roundtrip;
-      QCheck_alcotest.to_alcotest prop_roundtrip;
-      QCheck_alcotest.to_alcotest prop_image_magic;
-      QCheck_alcotest.to_alcotest prop_size_reasonable;
+      Qseed.to_alcotest prop_roundtrip;
+      Qseed.to_alcotest prop_image_magic;
+      Qseed.to_alcotest prop_size_reasonable;
     ] )

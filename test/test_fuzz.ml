@@ -68,8 +68,12 @@ let mutate seed n (s : string) =
 
 let gen_mutation = QCheck.Gen.(pair (int_range 0 100000) (int_range 1 24))
 
+(* The @fuzz campaign runs the ELF and .dynsym properties in QCheck's
+   long mode: this many times their tier-1 count. *)
+let campaign_factor = 10
+
 let prop_elf_reader_total =
-  QCheck.Test.make ~name:"fuzz: ELF reader is total on mutated images"
+  QCheck.Test.make ~long_factor:campaign_factor ~name:"fuzz: ELF reader is total on mutated images"
     ~count:800
     (QCheck.make
        ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
@@ -79,7 +83,7 @@ let prop_elf_reader_total =
       | Ok _ | Error _ -> true)
 
 let prop_elf_reader_truncations =
-  QCheck.Test.make ~name:"fuzz: ELF reader is total on truncations" ~count:200
+  QCheck.Test.make ~long_factor:campaign_factor ~name:"fuzz: ELF reader is total on truncations" ~count:200
     (QCheck.make ~print:string_of_int
        QCheck.Gen.(int_range 0 (String.length base_image)))
     (fun len ->
@@ -87,7 +91,7 @@ let prop_elf_reader_truncations =
       | Ok _ | Error _ -> true)
 
 let prop_symbol_tables_total =
-  QCheck.Test.make
+  QCheck.Test.make ~long_factor:campaign_factor
     ~name:"fuzz: .dynsym/.gnu.version parsing is total on mutated images"
     ~count:800
     (QCheck.make
@@ -98,7 +102,7 @@ let prop_symbol_tables_total =
       | Ok _ | Error _ -> true)
 
 let prop_symbol_tables_truncations =
-  QCheck.Test.make
+  QCheck.Test.make ~long_factor:campaign_factor
     ~name:"fuzz: .dynsym/.gnu.version parsing is total on truncations"
     ~count:200
     (QCheck.make ~print:string_of_int
@@ -106,6 +110,46 @@ let prop_symbol_tables_truncations =
     (fun len ->
       match Feam_elf.Reader.parse (String.sub symbol_image 0 len) with
       | Ok _ | Error _ -> true)
+
+(* Named regression: a mutated [sh_size] near [max_int] once wrapped the
+   reader's bounds check ([off + n > len]) negative, so the .comment
+   read raised [Invalid_argument] instead of returning [Error]. *)
+let test_bounds_check_overflow () =
+  match Feam_elf.Reader.parse (mutate 60641 18 base_image) with
+  | Ok _ -> Alcotest.fail "expected the mutated image to be rejected"
+  | Error _ -> ()
+
+(* Crash inputs the campaign found, one per line of
+   fixtures/fuzz_crashes.txt: "<image> mutate <seed> <n>" or
+   "<image> truncate <len>", where <image> is [elf] or [dynsym].  Each
+   must parse to [Ok] or a typed [Error]. *)
+let test_crash_fixtures () =
+  let image = function
+    | "elf" -> base_image
+    | "dynsym" -> symbol_image
+    | other -> Alcotest.failf "fuzz_crashes.txt: unknown image %S" other
+  in
+  let cases =
+    In_channel.with_open_text "fixtures/fuzz_crashes.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check bool) "at least one recorded crash" true (cases <> []);
+  List.iter
+    (fun line ->
+      let input =
+        match String.split_on_char ' ' line with
+        | [ img; "mutate"; seed; n ] ->
+          mutate (int_of_string seed) (int_of_string n) (image img)
+        | [ img; "truncate"; len ] ->
+          String.sub (image img) 0 (int_of_string len)
+        | _ -> Alcotest.failf "fuzz_crashes.txt: malformed line %S" line
+      in
+      match Feam_elf.Reader.parse input with
+      | Ok _ | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "%s: %s escaped the reader" line (Printexc.to_string e))
+    cases
 
 (* A valid bundle artifact to mutate. *)
 let base_bundle_text =
@@ -196,15 +240,28 @@ let prop_soname_parser_total =
       | None, Error _ -> true
       | _ -> false)
 
+(* What `dune build @fuzz` runs, in long mode. *)
+let campaign =
+  [
+    prop_elf_reader_total;
+    prop_elf_reader_truncations;
+    prop_symbol_tables_total;
+    prop_symbol_tables_truncations;
+  ]
+
 let suite =
   ( "fuzz",
     [
-      QCheck_alcotest.to_alcotest prop_elf_reader_total;
-      QCheck_alcotest.to_alcotest prop_elf_reader_truncations;
-      QCheck_alcotest.to_alcotest prop_symbol_tables_total;
-      QCheck_alcotest.to_alcotest prop_symbol_tables_truncations;
-      QCheck_alcotest.to_alcotest prop_bundle_parser_total;
-      QCheck_alcotest.to_alcotest prop_json_parser_total;
-      QCheck_alcotest.to_alcotest prop_objdump_parser_total;
-      QCheck_alcotest.to_alcotest prop_soname_parser_total;
+      Alcotest.test_case "ELF reader: bounds-check overflow (mutate 60641 18)"
+        `Quick test_bounds_check_overflow;
+      Alcotest.test_case "fuzz: recorded crash fixtures stay total" `Quick
+        test_crash_fixtures;
+      Qseed.to_alcotest prop_elf_reader_total;
+      Qseed.to_alcotest prop_elf_reader_truncations;
+      Qseed.to_alcotest prop_symbol_tables_total;
+      Qseed.to_alcotest prop_symbol_tables_truncations;
+      Qseed.to_alcotest prop_bundle_parser_total;
+      Qseed.to_alcotest prop_json_parser_total;
+      Qseed.to_alcotest prop_objdump_parser_total;
+      Qseed.to_alcotest prop_soname_parser_total;
     ] )

@@ -136,6 +136,6 @@ let suite =
         test_exhaustive_identification;
       Alcotest.test_case "fortran bindings detected" `Quick
         test_fortran_bindings_detected;
-      QCheck_alcotest.to_alcotest prop_identification_robust;
-      QCheck_alcotest.to_alcotest prop_slug_roundtrip;
+      Qseed.to_alcotest prop_identification_robust;
+      Qseed.to_alcotest prop_slug_roundtrip;
     ] )

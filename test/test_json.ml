@@ -122,7 +122,7 @@ let suite =
       Alcotest.test_case "render basics" `Quick test_render_basics;
       Alcotest.test_case "parse basics" `Quick test_parse_basics;
       Alcotest.test_case "parse rejects" `Quick test_parse_rejects;
-      QCheck_alcotest.to_alcotest prop_roundtrip;
+      Qseed.to_alcotest prop_roundtrip;
       Alcotest.test_case "report json" `Quick test_report_json;
       Alcotest.test_case "matrix" `Slow test_matrix;
     ] )

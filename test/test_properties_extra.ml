@@ -163,13 +163,13 @@ let suite =
   ( "properties-extra",
     [
       Alcotest.test_case "resolution idempotent" `Quick test_resolution_idempotent;
-      QCheck_alcotest.to_alcotest prop_env_prepend_order;
-      QCheck_alcotest.to_alcotest prop_env_append_order;
+      Qseed.to_alcotest prop_env_prepend_order;
+      Qseed.to_alcotest prop_env_append_order;
       Alcotest.test_case "corpus stats consistent" `Slow test_corpus_stats_consistent;
-      QCheck_alcotest.to_alcotest prop_soname_roundtrip;
-      QCheck_alcotest.to_alcotest prop_soname_satisfies_reflexive;
-      QCheck_alcotest.to_alcotest prop_version_roundtrip;
-      QCheck_alcotest.to_alcotest prop_version_compare_total_order;
+      Qseed.to_alcotest prop_soname_roundtrip;
+      Qseed.to_alcotest prop_soname_satisfies_reflexive;
+      Qseed.to_alcotest prop_version_roundtrip;
+      Qseed.to_alcotest prop_version_compare_total_order;
       Alcotest.test_case "staged copy shadows system lib" `Quick
         test_staged_copy_shadows_system_lib;
     ] )

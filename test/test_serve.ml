@@ -389,9 +389,9 @@ let suite =
   ( "serve",
     [
       Alcotest.test_case "protocol parse golden" `Quick test_protocol_golden;
-      QCheck_alcotest.to_alcotest prop_parse_total_random;
-      QCheck_alcotest.to_alcotest prop_parse_total_truncations;
-      QCheck_alcotest.to_alcotest prop_parse_oversized;
+      Qseed.to_alcotest prop_parse_total_random;
+      Qseed.to_alcotest prop_parse_total_truncations;
+      Qseed.to_alcotest prop_parse_oversized;
       Alcotest.test_case "baseline equals a cold pass" `Quick
         test_baseline_matches_cold_pass;
       Alcotest.test_case "updates re-evaluate only affected cells" `Slow
@@ -408,5 +408,5 @@ let suite =
         test_sigint_drains_and_journal_is_whole;
       Alcotest.test_case "prom exposition covers serve metrics" `Quick
         test_prom_exposition_covers_serve;
-      QCheck_alcotest.to_alcotest prop_label_escaping_roundtrip;
+      Qseed.to_alcotest prop_label_escaping_roundtrip;
     ] )

@@ -95,7 +95,7 @@ let suite =
       Alcotest.test_case "major" `Quick test_major;
       Alcotest.test_case "satisfies" `Quick test_satisfies;
       Alcotest.test_case "newest first" `Quick test_newest_first;
-      QCheck_alcotest.to_alcotest prop_roundtrip;
-      QCheck_alcotest.to_alcotest prop_satisfies_reflexive;
-      QCheck_alcotest.to_alcotest prop_satisfies_same_major;
+      Qseed.to_alcotest prop_roundtrip;
+      Qseed.to_alcotest prop_satisfies_reflexive;
+      Qseed.to_alcotest prop_satisfies_same_major;
     ] )

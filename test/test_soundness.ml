@@ -291,6 +291,6 @@ let prop_soundness_basic =
 let suite =
   ( "soundness",
     [
-      QCheck_alcotest.to_alcotest ~long:true prop_soundness;
-      QCheck_alcotest.to_alcotest ~long:true prop_soundness_basic;
+      Qseed.to_alcotest ~long:true prop_soundness;
+      Qseed.to_alcotest ~long:true prop_soundness_basic;
     ] )

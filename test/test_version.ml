@@ -103,8 +103,8 @@ let suite =
       Alcotest.test_case "zero padding" `Quick test_zero_padding;
       Alcotest.test_case "min/max" `Quick test_min_max;
       Alcotest.test_case "make validation" `Quick test_make_invalid;
-      QCheck_alcotest.to_alcotest prop_roundtrip;
-      QCheck_alcotest.to_alcotest prop_total_order_antisym;
-      QCheck_alcotest.to_alcotest prop_total_order_trans;
-      QCheck_alcotest.to_alcotest prop_max_commutes;
+      Qseed.to_alcotest prop_roundtrip;
+      Qseed.to_alcotest prop_total_order_antisym;
+      Qseed.to_alcotest prop_total_order_trans;
+      Qseed.to_alcotest prop_max_commutes;
     ] )

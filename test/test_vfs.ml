@@ -124,5 +124,5 @@ let suite =
       Alcotest.test_case "remove" `Quick test_remove;
       Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "overwrite" `Quick test_overwrite;
-      QCheck_alcotest.to_alcotest prop_normalize_idempotent;
+      Qseed.to_alcotest prop_normalize_idempotent;
     ] )
