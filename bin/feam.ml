@@ -1780,7 +1780,7 @@ let depot_cmd =
     [ depot_add_cmd; depot_ls_cmd; depot_gc_cmd; depot_plan_cmd;
       depot_export_cmd ]
 
-(* -- Cost observatory: `feam stats` / `feam bench ...` ------------------------ *)
+(* -- Cost observatory: `feam stats` ------------------------------------------- *)
 
 (* Run the prediction pipeline in-process (like `feam metrics`) and
    expose the registry it populated in a machine-readable exposition
@@ -1840,103 +1840,6 @@ let stats_cmd =
       const cmd_stats $ debug_arg $ scenario_arg $ from_arg $ to_arg
       $ binary_arg $ basic_arg $ predict_lint_arg $ stats_format_arg
       $ stats_out_arg)
-
-(* The perf-regression sentinel over BENCH_history.jsonl (appended by
-   the bench suite, one record per run, no timestamps). *)
-let cmd_bench_report debug history window threshold =
-  setup_logs debug;
-  if not (Sys.file_exists history) then begin
-    (* Absence is the first-run case, not an error: CI runs this before
-       any history has accumulated. *)
-    Fmt.pr "bench report: no runs recorded (%s missing)@." history;
-    exit 0
-  end;
-  match Feam_obs.Benchtrend.parse_history (read_text history) with
-  | Error e ->
-    Fmt.epr "%s: %s@." history e;
-    exit 2
-  | Ok runs ->
-    let outcome = Feam_obs.Benchtrend.evaluate ~window ~threshold runs in
-    print_string (Feam_obs.Benchtrend.render outcome);
-    Feam_obs.flush ();
-    exit (Feam_obs.Benchtrend.exit_code outcome)
-
-let cmd_bench_validate debug bench_file history_file =
-  setup_logs debug;
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (if not (Sys.file_exists bench_file) then
-     problem "%s: missing" bench_file
-   else
-     match Json.parse (read_text bench_file) with
-     | Error e -> problem "%s: %s" bench_file e
-     | Ok json -> (
-       match Feam_obs.Benchtrend.validate_bench_json json with
-       | Ok n -> Fmt.pr "%s: ok (%d benches)@." bench_file n
-       | Error errs ->
-         List.iter (fun e -> problem "%s: %s" bench_file e) errs));
-  (if not (Sys.file_exists history_file) then
-     problem "%s: missing" history_file
-   else
-     match Feam_obs.Benchtrend.parse_history (read_text history_file) with
-     | Error e -> problem "%s: %s" history_file e
-     | Ok runs -> Fmt.pr "%s: ok (%d runs)@." history_file (List.length runs));
-  match List.rev !problems with
-  | [] -> ()
-  | problems ->
-    List.iter (fun p -> Fmt.epr "%s@." p) problems;
-    exit 1
-
-let bench_history_arg =
-  Arg.(
-    value & opt string "BENCH_history.jsonl"
-    & info [ "history" ] ~docv:"FILE"
-        ~doc:"The bench-history JSONL file (one record per bench run).")
-
-let bench_file_arg =
-  Arg.(
-    value & opt string "BENCH_feam.json"
-    & info [ "bench-file" ] ~docv:"FILE"
-        ~doc:"The bench snapshot the bench suite wrote.")
-
-let bench_window_arg =
-  Arg.(
-    value & opt int 5
-    & info [ "window" ] ~docv:"N"
-        ~doc:"Baseline: the geometric mean of up to N runs before the \
-              latest.")
-
-let bench_threshold_arg =
-  Arg.(
-    value & opt float 1.30
-    & info [ "threshold" ] ~docv:"RATIO"
-        ~doc:"Flag a bench as regressed when latest/baseline exceeds \
-              RATIO.")
-
-let bench_report_cmd =
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Compare the latest bench run against the rolling baseline and \
-             exit 1 when any bench regressed past the threshold.")
-    Term.(
-      const cmd_bench_report $ debug_arg $ bench_history_arg
-      $ bench_window_arg $ bench_threshold_arg)
-
-let bench_validate_cmd =
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Validate BENCH_feam.json and BENCH_history.jsonl against \
-             their schemas; exit 1 listing every problem found.")
-    Term.(
-      const cmd_bench_validate $ debug_arg $ bench_file_arg
-      $ bench_history_arg)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"The perf-regression sentinel: schema validation and \
-             run-over-run trend reports for the bench suite's artifacts.")
-    [ bench_report_cmd; bench_validate_cmd ]
 
 (* -- Fleet drift observatory: `feam drift ...` -------------------------------- *)
 
@@ -2212,7 +2115,7 @@ let main =
     (Cmd.info "feam" ~version:"1.0.0"
        ~doc:"Framework for Efficient Application Migration (simulated sites)")
     [ sites_cmd; describe_cmd; discover_cmd; predict_cmd; metrics_cmd;
-      stats_cmd; bench_cmd; lint_cmd; audit_cmd; symcheck_cmd; agree_cmd;
+      stats_cmd; lint_cmd; audit_cmd; symcheck_cmd; agree_cmd;
       replay_cmd; diff_cmd; drift_cmd; serve_cmd; config_check_cmd;
       bundle_cmd; inspect_bundle_cmd; depot_cmd; advise_cmd; rank_cmd;
       scenario_template_cmd ]

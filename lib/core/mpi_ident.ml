@@ -53,7 +53,7 @@ let identify needed =
       Some { impl = Impl.Mpich2; evidence; fortran_bindings }
   else None
 
-(* The rows of paper Table I, for the report and the table bench. *)
+(* The rows of paper Table I, for the report and evaltool's Table I. *)
 let table_rows =
   [
     ("MVAPICH2", "libmpich/libmpichf90, libibverbs, libibumad");

@@ -16,5 +16,5 @@ type identification = {
     binaries (no MPI implementation library present). *)
 val identify : string list -> identification option
 
-(** The rows of paper Table I, for reports and the table bench. *)
+(** The rows of paper Table I, for reports and evaltool's Table I. *)
 val table_rows : (string * string) list

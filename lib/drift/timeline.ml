@@ -2,9 +2,9 @@
    history of the fleet's readiness rate across epochs, plus the
    declarative alert rules evaluated over it.
 
-   Mirrors Benchtrend's BENCH_history.jsonl discipline: one record per
-   line, a schema tag on every record, strictly-increasing epoch
-   numbers, line-numbered parse errors, no timestamps.  The gate mirrors
+   One record per line, a schema tag on every record, epoch numbers
+   strictly increasing, line-numbered parse errors, and no timestamps,
+   so the same drift sequence writes the same bytes.  The gate mirrors
    Engine.gate so `feam drift check --fail-on` behaves exactly like
    `feam check --fail-on`. *)
 

@@ -92,7 +92,7 @@ let gain s =
 
 let hours minutes = minutes /. 60.0
 
-(* Render the effort table printed by evaltool/bench. *)
+(* Render the effort table printed by evaltool. *)
 let table migrations =
   let nas = of_suite Feam_suites.Benchmark.Nas migrations in
   let spec = of_suite Feam_suites.Benchmark.Spec_mpi2007 migrations in

@@ -29,5 +29,5 @@ val gain : summary -> float
 
 val hours : float -> float
 
-(** The effort table printed by evaltool/bench. *)
+(** The effort table printed by evaltool. *)
 val table : Migrate.migration list -> Feam_util.Table.t

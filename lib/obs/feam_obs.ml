@@ -18,7 +18,6 @@ module Prof = Prof
 module Expo = Expo
 module Cachestat = Cachestat
 module Ledger = Ledger
-module Benchtrend = Benchtrend
 
 type trace_format = Pretty | Jsonl | Chrome
 

@@ -1,5 +1,5 @@
-(** Plain-text table rendering for evaluation reports and the bench
-    harness output that mirrors the paper's tables. *)
+(** Plain-text table rendering for evaluation reports that mirror the
+    paper's tables. *)
 
 type align = Left | Right | Center
 

@@ -1,9 +1,8 @@
 (* Tests for the cost observatory: labeled timers and their interplay
    with the metrics freeze, span allocation accounting, the Prometheus /
    JSONL exposition surfaces (byte-determinism under a fixed clock,
-   label escaping round-trip), the cost ledger's self-cost accounting
-   over a manual clock, and the perf-regression sentinel's history
-   schema and comparison logic. *)
+   label escaping round-trip), and the cost ledger's self-cost
+   accounting over a manual clock. *)
 
 open Feam_obs
 
@@ -246,111 +245,6 @@ let test_ledger_uninstalled_noop () =
   in
   Alcotest.(check int) "thunks run straight through" 11 r
 
-(* -- Benchtrend: the perf-regression sentinel ------------------------------ *)
-
-let run seq benches = { Benchtrend.seq; benches }
-
-let test_benchtrend_outcomes () =
-  Alcotest.(check int)
-    "empty history exits 0" 0
-    (Benchtrend.exit_code (Benchtrend.evaluate []));
-  (match Benchtrend.evaluate [ run 1 [ ("a", 100.0) ] ] with
-  | Benchtrend.No_baseline r ->
-    Alcotest.(check int) "single run reported as no-baseline" 1 r.Benchtrend.seq
-  | _ -> Alcotest.fail "single run should be No_baseline");
-  (* a 1.5x slowdown on bench a trips the 1.3x threshold; b is steady *)
-  let runs =
-    [
-      run 1 [ ("a", 100.0); ("b", 200.0) ];
-      run 2 [ ("a", 100.0); ("b", 200.0) ];
-      run 3 [ ("a", 150.0); ("b", 201.0) ];
-    ]
-  in
-  match Benchtrend.evaluate ~window:5 ~threshold:1.30 runs with
-  | Benchtrend.Compared report ->
-    Alcotest.(check int) "two baseline runs used" 2 report.Benchtrend.window;
-    (match Benchtrend.regressions report with
-    | [ c ] ->
-      Alcotest.(check string) "bench a regressed" "a" c.Benchtrend.bench;
-      Alcotest.(check (float 1e-9)) "ratio 1.5" 1.5 c.Benchtrend.ratio
-    | rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs));
-    Alcotest.(check int)
-      "regression exits 1" 1
-      (Benchtrend.exit_code (Benchtrend.Compared report));
-    let rendered = Benchtrend.render (Benchtrend.Compared report) in
-    let contains needle =
-      let nl = String.length needle and ol = String.length rendered in
-      let rec go i =
-        i + nl <= ol && (String.sub rendered i nl = needle || go (i + 1))
-      in
-      go 0
-    in
-    Alcotest.(check bool) "render flags the regression" true
-      (contains "REGRESSED")
-  | _ -> Alcotest.fail "three runs should compare"
-
-let test_benchtrend_history_roundtrip () =
-  let runs =
-    [ run 1 [ ("a", 100.5); ("b", 2.25) ]; run 4 [ ("a", 99.0) ] ]
-  in
-  (match Benchtrend.parse_history (Benchtrend.render_history runs) with
-  | Ok parsed ->
-    Alcotest.(check int) "both runs survive" 2 (List.length parsed);
-    Alcotest.(check int)
-      "seq gap preserved" 4
-      (List.nth parsed 1).Benchtrend.seq
-  | Error e -> Alcotest.failf "round-trip failed: %s" e);
-  (* non-increasing sequence numbers are rejected with a line number *)
-  let bad =
-    Benchtrend.render_history [ run 2 [ ("a", 1.0) ] ]
-    ^ Benchtrend.render_history [ run 2 [ ("a", 1.0) ] ]
-  in
-  (match Benchtrend.parse_history bad with
-  | Ok _ -> Alcotest.fail "duplicate seq should be rejected"
-  | Error e ->
-    Alcotest.(check bool)
-      "error names line 2" true
-      (String.length e >= 7 && String.sub e 0 7 = "line 2:"));
-  match Benchtrend.parse_history "{\"schema\":1,\"run\":1,\"benches\":{\"a\":-3}}" with
-  | Ok _ -> Alcotest.fail "negative ns/op should be rejected"
-  | Error _ -> ()
-
-let test_validate_bench_json () =
-  let doc benches =
-    Feam_util.Json.Obj
-      [
-        ("schema", Feam_util.Json.Int 1);
-        ( "headline_ns_per_op",
-          Feam_util.Json.Obj [ ("x", Feam_util.Json.Float 12.0) ] );
-        ("benches", Feam_util.Json.List benches);
-      ]
-  in
-  let bench ?(counts = [ 1; 1; 0 ]) () =
-    Feam_util.Json.Obj
-      [
-        ("name", Feam_util.Json.Str "b");
-        ("iterations", Feam_util.Json.Int 2);
-        ("ns_per_op", Feam_util.Json.Float 42.0);
-        ( "bounds_ns",
-          Feam_util.Json.List
-            [ Feam_util.Json.Float 10.0; Feam_util.Json.Float 100.0 ] );
-        ( "bucket_counts",
-          Feam_util.Json.List (List.map (fun c -> Feam_util.Json.Int c) counts)
-        );
-      ]
-  in
-  (match Benchtrend.validate_bench_json (doc [ bench () ]) with
-  | Ok n -> Alcotest.(check int) "valid doc counts benches" 1 n
-  | Error es -> Alcotest.failf "valid doc rejected: %s" (String.concat "; " es));
-  match Benchtrend.validate_bench_json (doc [ bench ~counts:[ 1; 1; 3 ] () ]) with
-  | Ok _ -> Alcotest.fail "bucket/iteration mismatch should be rejected"
-  | Error es ->
-    Alcotest.(check bool)
-      "mismatch reported" true
-      (List.exists
-         (fun e -> String.length e > 2 && e.[0] = 'b' && e.[1] = ':')
-         es)
-
 let suite =
   ( "costs",
     [
@@ -368,8 +262,4 @@ let suite =
       Alcotest.test_case "ledger self-cost" `Quick test_ledger_self_cost;
       Alcotest.test_case "ledger uninstalled no-op" `Quick
         test_ledger_uninstalled_noop;
-      Alcotest.test_case "benchtrend outcomes" `Quick test_benchtrend_outcomes;
-      Alcotest.test_case "benchtrend history round-trip" `Quick
-        test_benchtrend_history_roundtrip;
-      Alcotest.test_case "bench json validation" `Quick test_validate_bench_json;
     ] )
