@@ -943,6 +943,11 @@ let cmd_agree_run debug trace trace_out journal seed count json out minimize =
   let open Feam_agree in
   let runs = Harness.run_corpus ~seed ~count () in
   Harness.record_report runs;
+  (* The corpus journal is complete here.  Close it before shrinking:
+     the shrinker's re-runs must not leak into it, and each reproducer
+     journal below reconfigures the recorder. *)
+  Feam_flightrec.Recorder.flush ();
+  Feam_flightrec.Recorder.disable ();
   let report = Harness.render_report runs in
   let reproducers = if minimize then Minimize.shrink_all runs else [] in
   if json then
