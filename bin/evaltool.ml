@@ -318,17 +318,7 @@ let setup_obs trace trace_out =
   match trace with
   | None -> ()
   | Some format ->
-    let emit text =
-      match trace_out with
-      | Some file when file <> "-" ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc text)
-      | _ -> (
-        match format with
-        | Feam_obs.Pretty -> prerr_string text
-        | Feam_obs.Jsonl | Feam_obs.Chrome -> print_string text)
-    in
-    Feam_obs.configure ~clock:Feam_obs.Clock.wall ~emit format;
+    Feam_obs.configure ~clock:Feam_obs.Clock.wall ?out:trace_out format;
     at_exit Feam_obs.flush
 
 let trace =

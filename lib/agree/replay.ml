@@ -26,7 +26,7 @@ let has_corpus journal = scenario_records journal <> []
 
 let coords data =
   let int name =
-    match Option.bind (Json.member name data) Json.to_int_opt with
+    match Json.int_field name data with
     | Some i -> Ok i
     | None -> Error (Printf.sprintf "agree.scenario payload: missing %s" name)
   in
@@ -34,16 +34,12 @@ let coords data =
   let* seed = int "seed" in
   let* index = int "index" in
   let* keep =
-    match Option.bind (Json.member "keep" data) Json.to_list_opt with
-    | None -> Error "agree.scenario payload: missing keep"
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match Json.to_int_opt item with
-          | Some i -> Ok (acc @ [ i ])
-          | None -> Error "agree.scenario payload: non-integer keep index")
-        (Ok []) items
+    match Json.member "keep" data with
+    | Some (Json.List items) ->
+      let keep = List.filter_map Json.to_int_opt items in
+      if List.compare_lengths keep items = 0 then Ok keep
+      else Error "agree.scenario payload: non-integer keep index"
+    | _ -> Error "agree.scenario payload: missing keep"
   in
   Ok (seed, index, keep)
 

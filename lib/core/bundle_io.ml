@@ -54,8 +54,11 @@ let render_discovery buf (disc : Discovery.t) =
   addf "current-stack: %s\n"
     (opt_field (Option.map (fun s -> s.Discovery.slug) disc.Discovery.current_stack))
 
-(* [render bundle] serializes a bundle to its textual artifact. *)
-let render (b : Bundle.t) : string =
+(* [render_container ~magic ~payload ~encode b] writes the container
+   both magics share (DESIGN §9).  Only the magic line and the payload
+   lines differ: each [binary], [copy] and [probe] payload is written as
+   "[payload]: [encode bytes]". *)
+let render_container ~magic ~payload ~encode (b : Bundle.t) : string =
   let buf = Buffer.create 65536 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "%s\n" magic;
@@ -67,7 +70,7 @@ let render (b : Bundle.t) : string =
   | Some bytes ->
     addf "\n[binary]\n";
     addf "declared-size: %d\n" b.Bundle.binary_declared_size;
-    addf "data: %s\n" (Base64.encode bytes)
+    addf "%s: %s\n" payload (encode bytes)
   | None -> ());
   List.iter
     (fun (c : Bdc.library_copy) ->
@@ -76,7 +79,7 @@ let render (b : Bundle.t) : string =
       addf "origin: %s\n" c.Bdc.copy_origin_path;
       addf "declared-size: %d\n" c.Bdc.copy_declared_size;
       render_description buf "desc-" c.Bdc.copy_description;
-      addf "data: %s\n" (Base64.encode c.Bdc.copy_bytes))
+      addf "%s: %s\n" payload (encode c.Bdc.copy_bytes))
     b.Bundle.copies;
   List.iter
     (fun (p : Bundle.probe) ->
@@ -84,50 +87,51 @@ let render (b : Bundle.t) : string =
       addf "name: %s\n" p.Bundle.probe_name;
       addf "stack: %s\n" p.Bundle.probe_stack_slug;
       addf "declared-size: %d\n" p.Bundle.probe_declared_size;
-      addf "data: %s\n" (Base64.encode p.Bundle.probe_bytes))
+      addf "%s: %s\n" payload (encode p.Bundle.probe_bytes))
     b.Bundle.probes;
   addf "\n";
   render_discovery buf b.Bundle.source_discovery;
   Buffer.contents buf
 
-(* [render_manifest m] serializes a depot-backed manifest: the same
-   container as a bundle, but every payload is an `object:` content key
-   resolved against a depot instead of embedded `data:`. *)
+(* [render bundle] serializes a bundle to its textual artifact. *)
+let render (b : Bundle.t) : string =
+  render_container ~magic ~payload:"data" ~encode:Base64.encode b
+
+(* [render_manifest m] serializes a depot-backed manifest: the bundle
+   container with every payload's content key in its place, written on
+   an `object:` line instead of embedded `data:`. *)
 let render_manifest (m : Bundle_manifest.t) : string =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let hex = Feam_depot.Chash.to_hex in
-  addf "%s\n" manifest_magic;
-  addf "created-at: %s\n" m.Bundle_manifest.man_created_at;
-  addf "unlocatable: %s\n" (String.concat "," m.Bundle_manifest.man_unlocatable);
-  addf "\n[description]\n";
-  render_description buf "" m.Bundle_manifest.man_description;
-  (match m.Bundle_manifest.man_binary with
-  | Some (key, size) ->
-    addf "\n[binary]\n";
-    addf "declared-size: %d\n" size;
-    addf "object: %s\n" (hex key)
-  | None -> ());
-  List.iter
-    (fun (e : Bundle_manifest.entry) ->
-      addf "\n[copy]\n";
-      addf "request: %s\n" e.Bundle_manifest.me_request;
-      addf "origin: %s\n" e.Bundle_manifest.me_origin;
-      addf "declared-size: %d\n" e.Bundle_manifest.me_size;
-      render_description buf "desc-" e.Bundle_manifest.me_description;
-      addf "object: %s\n" (hex e.Bundle_manifest.me_key))
-    m.Bundle_manifest.man_entries;
-  List.iter
-    (fun (p : Bundle_manifest.probe_ref) ->
-      addf "\n[probe]\n";
-      addf "name: %s\n" p.Bundle_manifest.mp_name;
-      addf "stack: %s\n" p.Bundle_manifest.mp_stack;
-      addf "declared-size: %d\n" p.Bundle_manifest.mp_size;
-      addf "object: %s\n" (hex p.Bundle_manifest.mp_key))
-    m.Bundle_manifest.man_probes;
-  addf "\n";
-  render_discovery buf m.Bundle_manifest.man_discovery;
-  Buffer.contents buf
+  render_container ~magic:manifest_magic ~payload:"object" ~encode:Fun.id
+    {
+      Bundle.created_at = m.man_created_at;
+      binary_description = m.man_description;
+      binary_bytes = Option.map (fun (key, _) -> hex key) m.man_binary;
+      binary_declared_size = Option.fold ~none:0 ~some:snd m.man_binary;
+      copies =
+        List.map
+          (fun (e : Bundle_manifest.entry) ->
+            {
+              Bdc.copy_request = e.me_request;
+              copy_origin_path = e.me_origin;
+              copy_bytes = hex e.me_key;
+              copy_declared_size = e.me_size;
+              copy_description = e.me_description;
+            })
+          m.man_entries;
+      unlocatable = m.man_unlocatable;
+      probes =
+        List.map
+          (fun (p : Bundle_manifest.probe_ref) ->
+            {
+              Bundle.probe_name = p.mp_name;
+              probe_bytes = hex p.mp_key;
+              probe_stack_slug = p.mp_stack;
+              probe_declared_size = p.mp_size;
+            })
+          m.man_probes;
+      source_discovery = m.man_discovery;
+    }
 
 (* -- parsing ---------------------------------------------------------------- *)
 
@@ -196,15 +200,19 @@ let sectionize ~magic text =
     | Ok sections ->
       Ok (List.map (fun (name, fields) -> (name, List.rev fields)) sections)
     | Error _ as e -> e)
-  | _ -> err 1 "missing FEAM-BUNDLE magic"
+  | _ -> err 1 (Printf.sprintf "missing %s magic" magic)
 
 let field fields key = List.assoc_opt key fields
 let fields_all fields key =
   List.filter_map (fun (k, v) -> if k = key then Some v else None) fields
 
-(* Reject duplicate and traversing entry names across a parsed artifact's
-   [copy] and [probe] sections, before any payload is decoded. *)
-let check_entries sections =
+let declared_size fields =
+  Option.bind (field fields "declared-size") int_of_string_opt
+
+(* Reject, before any payload is decoded, duplicate and traversing entry
+   names across the [copy] and [probe] sections, and a negative
+   declared-size in any section. *)
+let check_sections sections =
   let check section key seen fields =
     match field fields key with
     | None -> Ok seen
@@ -217,15 +225,19 @@ let check_entries sections =
   in
   let rec go seen_copies seen_probes = function
     | [] -> Ok ()
-    | ("copy", fields) :: rest -> (
-      match check "copy" "request" seen_copies fields with
-      | Error _ as e -> e
-      | Ok seen -> go seen seen_probes rest)
-    | ("probe", fields) :: rest -> (
-      match check "probe" "name" seen_probes fields with
-      | Error _ as e -> e
-      | Ok seen -> go seen_copies seen rest)
-    | _ :: rest -> go seen_copies seen_probes rest
+    | (section, fields) :: rest -> (
+      match (declared_size fields, section) with
+      | Some n, _ when n < 0 ->
+        Error
+          (Malformed
+             (Printf.sprintf "[%s] section: negative declared-size %d" section n))
+      | _, "copy" ->
+        Result.bind (check "copy" "request" seen_copies fields) (fun seen ->
+            go seen seen_probes rest)
+      | _, "probe" ->
+        Result.bind (check "probe" "name" seen_probes fields) (fun seen ->
+            go seen_copies seen rest)
+      | _ -> go seen_copies seen_probes rest)
   in
   go [] [] sections
 
@@ -284,19 +296,6 @@ let parse_description ~prefix fields : (Description.t, string) result =
             };
         })
 
-let parse_data fields =
-  match field fields "data" with
-  | None -> Error "missing data field"
-  | Some b64 -> (
-    match Base64.decode b64 with
-    | Ok bytes -> Ok bytes
-    | Error e -> Error (Base64.error_to_string e))
-
-let parse_int_field fields key ~default =
-  match field fields key with
-  | None -> default
-  | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
-
 let parse_discovery fields : Discovery.t =
   let get key = Option.bind (field fields key) opt_of in
   let machine = Option.bind (get "machine") Feam_elf.Types.machine_of_uname in
@@ -317,231 +316,217 @@ let parse_discovery fields : Discovery.t =
     current_stack = Option.bind (get "current-stack") stack_of_slug;
   }
 
-(* Assemble a bundle from checked sections. *)
-let assemble_bundle sections : (Bundle.t, string) result =
-    let header =
-      match List.assoc_opt "" sections with Some f -> f | None -> []
-    in
-    let find_section name =
-      List.filter_map
-        (fun (n, fields) -> if n = name then Some fields else None)
-        sections
-    in
-    (match find_section "description" with
-    | [] -> Error "missing [description] section"
-    | desc_fields :: _ -> (
-      match parse_description ~prefix:"" desc_fields with
-      | Error e -> Error e
-      | Ok binary_description ->
-        let binary_bytes, binary_declared_size =
-          match find_section "binary" with
-          | fields :: _ -> (
-            match parse_data fields with
-            | Ok bytes -> (Some bytes, parse_int_field fields "declared-size" ~default:0)
-            | Error _ -> (None, 0))
-          | [] -> (None, 0)
-        in
-        let copies =
-          find_section "copy"
-          |> List.filter_map (fun fields ->
-                 match
-                   ( field fields "request",
-                     parse_description ~prefix:"desc-" fields,
-                     parse_data fields )
-                 with
-                 | Some request, Ok description, Ok bytes ->
-                   Some
-                     {
-                       Bdc.copy_request = request;
-                       copy_origin_path =
-                         Option.value (field fields "origin") ~default:"";
-                       copy_bytes = bytes;
-                       copy_declared_size =
-                         parse_int_field fields "declared-size"
-                           ~default:(String.length bytes);
-                       copy_description = description;
-                     }
-                 | _ -> None)
-        in
-        let probes =
-          find_section "probe"
-          |> List.filter_map (fun fields ->
-                 match (field fields "name", parse_data fields) with
-                 | Some name, Ok bytes ->
-                   Some
-                     {
-                       Bundle.probe_name = name;
-                       probe_bytes = bytes;
-                       probe_stack_slug =
-                         Option.value (field fields "stack") ~default:"";
-                       probe_declared_size =
-                         parse_int_field fields "declared-size"
-                           ~default:(String.length bytes);
-                     }
-                 | _ -> None)
-        in
-        let source_discovery =
-          match find_section "discovery" with
-          | fields :: _ -> parse_discovery fields
-          | [] ->
-            {
-              Discovery.env_type = `Guaranteed;
-              machine = None;
-              elf_class = None;
-              os = None;
-              kernel = None;
-              glibc = None;
-              stacks = [];
-              current_stack = None;
-            }
-        in
-        Ok
-          {
-            Bundle.created_at =
-              Option.value (field header "created-at") ~default:"unknown";
-            binary_description;
-            binary_bytes;
-            binary_declared_size;
-            copies;
-            unlocatable =
-              split_list (Option.value (field header "unlocatable") ~default:"");
-            probes;
-            source_discovery;
-          }))
+(* A [binary], [copy] or [probe] section as the container reader hands
+   it back: its fields in file order, its declared size (absent or not an
+   integer is [None]) and its payload line's value, still encoded. *)
+type section = {
+  fields : (string * string) list;
+  size : int option;
+  payload : (string, string) result;
+}
+
+type container = {
+  created_at : string;
+  unlocatable : string list;
+  description : Description.t;
+  binary : section option;
+  copies : section list;
+  probes : section list;
+  discovery : Discovery.t;
+}
+
+let ( let* ) = Result.bind
+
+(* [read_container ~magic ~payload text] reads either magic's container:
+   the header, the [description] and [discovery] sections, and every
+   [binary] (the first only), [copy] and [probe] section with its payload
+   left raw.  {!check_sections} runs before anything is decoded. *)
+let read_container ~magic ~payload text : (container, load_error) result =
+  let* sections =
+    Result.map_error (fun e -> Syntax e) (sectionize ~magic text)
+  in
+  let* () = check_sections sections in
+  let all name =
+    List.filter_map
+      (fun (n, fields) -> if n = name then Some fields else None)
+      sections
+  in
+  let first name = List.nth_opt (all name) 0 in
+  let section fields =
+    {
+      fields;
+      size = declared_size fields;
+      payload =
+        Option.to_result ~none:("missing " ^ payload ^ " field")
+          (field fields payload);
+    }
+  in
+  let header = Option.value (first "") ~default:[] in
+  let* description =
+    match first "description" with
+    | None -> Error (Malformed "missing [description] section")
+    | Some fields ->
+      Result.map_error
+        (fun m -> Malformed m)
+        (parse_description ~prefix:"" fields)
+  in
+  Ok
+    {
+      created_at = Option.value (field header "created-at") ~default:"unknown";
+      unlocatable =
+        split_list (Option.value (field header "unlocatable") ~default:"");
+      description;
+      binary = Option.map section (first "binary");
+      copies = List.map section (all "copy");
+      probes = List.map section (all "probe");
+      (* no [discovery] section reads as an empty guaranteed-site one *)
+      discovery =
+        parse_discovery
+          (Option.value (first "discovery")
+             ~default:[ ("env-type", "guaranteed") ]);
+    }
 
 (* [parse_checked text] reads a bundle artifact back, rejecting unsafe
-   entry names (duplicates, path traversal) with a typed error. *)
+   entry names (duplicates, path traversal) with a typed error.  A
+   [binary], [copy] or [probe] section that does not decode is
+   dropped. *)
 let parse_checked (text : string) : (Bundle.t, load_error) result =
-  match sectionize ~magic text with
-  | Error e -> Error (Syntax e)
-  | Ok sections -> (
-    match check_entries sections with
-    | Error _ as e -> e
-    | Ok () -> (
-      match assemble_bundle sections with
-      | Ok b -> Ok b
-      | Error m -> Error (Malformed m)))
+  let* c = read_container ~magic ~payload:"data" text in
+  let data s =
+    Result.bind s.payload (fun b64 ->
+        Result.map_error Base64.error_to_string (Base64.decode b64))
+  in
+  let binary_bytes, binary_declared_size =
+    match Option.map (fun s -> (s, data s)) c.binary with
+    | Some (s, Ok bytes) -> (Some bytes, Option.value s.size ~default:0)
+    | Some (_, Error _) | None -> (None, 0)
+  in
+  let copies =
+    c.copies
+    |> List.filter_map (fun s ->
+           match
+             ( field s.fields "request",
+               parse_description ~prefix:"desc-" s.fields,
+               data s )
+           with
+           | Some request, Ok description, Ok bytes ->
+             Some
+               {
+                 Bdc.copy_request = request;
+                 copy_origin_path =
+                   Option.value (field s.fields "origin") ~default:"";
+                 copy_bytes = bytes;
+                 copy_declared_size =
+                   Option.value s.size ~default:(String.length bytes);
+                 copy_description = description;
+               }
+           | _ -> None)
+  in
+  let probes =
+    c.probes
+    |> List.filter_map (fun s ->
+           match (field s.fields "name", data s) with
+           | Some name, Ok bytes ->
+             Some
+               {
+                 Bundle.probe_name = name;
+                 probe_bytes = bytes;
+                 probe_stack_slug =
+                   Option.value (field s.fields "stack") ~default:"";
+                 probe_declared_size =
+                   Option.value s.size ~default:(String.length bytes);
+               }
+           | _ -> None)
+  in
+  Ok
+    {
+      Bundle.created_at = c.created_at;
+      binary_description = c.description;
+      binary_bytes;
+      binary_declared_size;
+      copies;
+      unlocatable = c.unlocatable;
+      probes;
+      source_discovery = c.discovery;
+    }
 
 (* [parse text] is {!parse_checked} with errors rendered to strings. *)
 let parse (text : string) : (Bundle.t, string) result =
   Result.map_error load_error_to_string (parse_checked text)
 
-(* -- manifest parsing ----------------------------------------------------- *)
-
-let parse_key fields =
-  match field fields "object" with
-  | None -> Error "missing object field"
-  | Some hex -> (
-    match Feam_depot.Chash.of_hex hex with
-    | Some key -> Ok key
-    | None -> Error ("malformed content key: " ^ hex))
-
 (* [parse_manifest_checked text] reads a depot-backed manifest artifact,
-   applying the same entry-name safety checks as bundles. *)
+   applying the same checks as bundles.  Any section that does not
+   decode rejects the whole manifest. *)
 let parse_manifest_checked (text : string) :
     (Bundle_manifest.t, load_error) result =
-  match sectionize ~magic:manifest_magic text with
-  | Error e -> Error (Syntax e)
-  | Ok sections -> (
-    match check_entries sections with
-    | Error _ as e -> e
-    | Ok () ->
-      let header =
-        match List.assoc_opt "" sections with Some f -> f | None -> []
-      in
-      let find_section name =
-        List.filter_map
-          (fun (n, fields) -> if n = name then Some fields else None)
-          sections
-      in
-      let ( let* ) = Result.bind in
-      let result =
-        let* desc_fields =
-          match find_section "description" with
-          | [] -> Error "missing [description] section"
-          | fields :: _ -> Ok fields
-        in
-        let* man_description = parse_description ~prefix:"" desc_fields in
-        let* man_binary =
-          match find_section "binary" with
-          | [] -> Ok None
-          | fields :: _ ->
-            let* key = parse_key fields in
-            Ok (Some (key, parse_int_field fields "declared-size" ~default:0))
-        in
-        let* man_entries =
-          List.fold_left
-            (fun acc fields ->
-              let* acc = acc in
-              let* request =
-                match field fields "request" with
-                | Some r -> Ok r
-                | None -> Error "copy section missing request field"
-              in
-              let* description = parse_description ~prefix:"desc-" fields in
-              let* key = parse_key fields in
-              Ok
-                ({
-                   Bundle_manifest.me_request = request;
-                   me_key = key;
-                   me_size = parse_int_field fields "declared-size" ~default:0;
-                   me_origin = Option.value (field fields "origin") ~default:"";
-                   me_description = description;
-                 }
-                 :: acc))
-            (Ok [])
-            (find_section "copy")
-        in
-        let* man_probes =
-          List.fold_left
-            (fun acc fields ->
-              let* acc = acc in
-              let* name =
-                match field fields "name" with
-                | Some n -> Ok n
-                | None -> Error "probe section missing name field"
-              in
-              let* key = parse_key fields in
-              Ok
-                ({
-                   Bundle_manifest.mp_name = name;
-                   mp_key = key;
-                   mp_size = parse_int_field fields "declared-size" ~default:0;
-                   mp_stack = Option.value (field fields "stack") ~default:"";
-                 }
-                 :: acc))
-            (Ok [])
-            (find_section "probe")
-        in
-        let man_discovery =
-          match find_section "discovery" with
-          | fields :: _ -> parse_discovery fields
-          | [] ->
-            {
-              Discovery.env_type = `Guaranteed;
-              machine = None;
-              elf_class = None;
-              os = None;
-              kernel = None;
-              glibc = None;
-              stacks = [];
-              current_stack = None;
-            }
-        in
-        Ok
-          {
-            Bundle_manifest.man_created_at =
-              Option.value (field header "created-at") ~default:"unknown";
-            man_description;
-            man_binary;
-            man_entries = List.rev man_entries;
-            man_unlocatable =
-              split_list (Option.value (field header "unlocatable") ~default:"");
-            man_probes = List.rev man_probes;
-            man_discovery;
-          }
-      in
-      Result.map_error (fun m -> Malformed m) result)
+  let* c = read_container ~magic:manifest_magic ~payload:"object" text in
+  let key s =
+    Result.bind s.payload (fun hex ->
+        Option.to_result ~none:("malformed content key: " ^ hex)
+          (Feam_depot.Chash.of_hex hex))
+  in
+  let require section name s =
+    Option.to_result
+      ~none:(Printf.sprintf "%s section missing %s field" section name)
+      (field s.fields name)
+  in
+  let size s = Option.value s.size ~default:0 in
+  (* [List.map] for a function that can fail: the first error wins *)
+  let all_ok f items =
+    List.fold_right
+      (fun item acc ->
+        let* acc = acc in
+        let* x = f item in
+        Ok (x :: acc))
+      items (Ok [])
+  in
+  Result.map_error
+    (fun m -> Malformed m)
+    (let* man_binary =
+       match c.binary with
+       | None -> Ok None
+       | Some s -> Result.map (fun k -> Some (k, size s)) (key s)
+     in
+     let* man_entries =
+       all_ok
+         (fun s ->
+           let* request = require "copy" "request" s in
+           let* description = parse_description ~prefix:"desc-" s.fields in
+           let* key = key s in
+           Ok
+             {
+               Bundle_manifest.me_request = request;
+               me_key = key;
+               me_size = size s;
+               me_origin = Option.value (field s.fields "origin") ~default:"";
+               me_description = description;
+             })
+         c.copies
+     in
+     let* man_probes =
+       all_ok
+         (fun s ->
+           let* name = require "probe" "name" s in
+           let* key = key s in
+           Ok
+             {
+               Bundle_manifest.mp_name = name;
+               mp_key = key;
+               mp_size = size s;
+               mp_stack = Option.value (field s.fields "stack") ~default:"";
+             })
+         c.probes
+     in
+     Ok
+       {
+         Bundle_manifest.man_created_at = c.created_at;
+         man_description = c.description;
+         man_binary;
+         man_entries;
+         man_unlocatable = c.unlocatable;
+         man_probes;
+         man_discovery = c.discovery;
+       })
 
 let parse_manifest (text : string) : (Bundle_manifest.t, string) result =
   Result.map_error load_error_to_string (parse_manifest_checked text)

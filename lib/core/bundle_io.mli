@@ -37,7 +37,9 @@ val name_traverses : string -> bool
 val render : Bundle.t -> string
 
 (** Read a bundle artifact back, rejecting duplicate and
-    path-traversing entry names with a typed error. *)
+    path-traversing entry names with a typed error and a negative
+    [declared-size] as [Malformed].  A [binary], [copy] or [probe]
+    section that does not decode is dropped. *)
 val parse_checked : string -> (Bundle.t, load_error) result
 
 (** {!parse_checked} with errors rendered to strings. *)
@@ -48,8 +50,9 @@ val parse : string -> (Bundle.t, string) result
     [data:]. *)
 val render_manifest : Bundle_manifest.t -> string
 
-(** Read a manifest artifact back, with the same entry-name safety
-    checks as {!parse_checked}. *)
+(** Read a manifest artifact back, with the same checks as
+    {!parse_checked}; a section that does not decode rejects the whole
+    manifest. *)
 val parse_manifest_checked : string -> (Bundle_manifest.t, load_error) result
 
 (** {!parse_manifest_checked} with errors rendered to strings. *)

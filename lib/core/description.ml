@@ -87,13 +87,7 @@ let to_json t =
 
 let of_json json =
   let open Json in
-  let str key = Option.bind (member key json) to_string_opt in
-  let str_list key =
-    match Option.bind (member key json) to_list_opt with
-    | None -> []
-    | Some items -> List.filter_map to_string_opt items
-  in
-  match (str "path", str "format") with
+  match (string_field "path" json, string_field "format" json) with
   | None, _ -> Error "description: missing path"
   | _, None -> Error "description: missing format"
   | Some path, Some file_format -> (
@@ -112,24 +106,24 @@ let of_json json =
             fields
         | _ -> []
       in
-      let needed = str_list "needed" in
+      let needed = strings_field "needed" json in
       Ok
         {
           path;
           file_format;
           machine;
           elf_class;
-          soname = Option.bind (str "soname") Soname.of_string;
+          soname = Option.bind (string_field "soname" json) Soname.of_string;
           needed;
-          rpath = str "rpath";
-          runpath = str "runpath";
+          rpath = string_field "rpath" json;
+          runpath = string_field "runpath" json;
           verneeds;
           required_glibc = required_glibc_of_verneeds verneeds;
           mpi = Mpi_ident.identify needed;
           provenance =
             {
-              Objdump_parse.compiler_banner = str "compiler";
-              build_os = str "build_os";
+              Objdump_parse.compiler_banner = string_field "compiler" json;
+              build_os = string_field "build_os" json;
             };
         })
 

@@ -75,12 +75,11 @@ let stack_to_json s =
     [ ("slug", Json.Str s.slug); ("via", Json.Str (via_slug s.discovered_via)) ]
 
 let stack_of_json json =
-  let str key = Option.bind (Json.member key json) Json.to_string_opt in
-  match str "slug" with
+  match Json.string_field "slug" json with
   | None -> None
   | Some slug ->
     let via =
-      match Option.bind (str "via") via_of_slug with
+      match Option.bind (Json.string_field "via" json) via_of_slug with
       | Some via -> via
       | None -> Modules
     in
@@ -103,23 +102,21 @@ let to_json t =
     ]
 
 let of_json json =
-  let str key = Option.bind (Json.member key json) Json.to_string_opt in
-  let machine = Option.bind (str "machine") Feam_elf.Types.machine_of_uname in
+  let machine =
+    Option.bind (Json.string_field "machine" json) Feam_elf.Types.machine_of_uname
+  in
   Ok
     {
       env_type =
-        (match str "env_type" with
+        (match Json.string_field "env_type" json with
         | Some "guaranteed" -> `Guaranteed
         | _ -> `Target);
       machine;
       elf_class = Option.map Feam_elf.Types.machine_class machine;
-      os = str "os";
-      kernel = str "kernel";
-      glibc = Option.bind (str "glibc") Version.of_string;
-      stacks =
-        (match Option.bind (Json.member "stacks" json) Json.to_list_opt with
-        | None -> []
-        | Some items -> List.filter_map stack_of_json items);
+      os = Json.string_field "os" json;
+      kernel = Json.string_field "kernel" json;
+      glibc = Option.bind (Json.string_field "glibc" json) Version.of_string;
+      stacks = List.filter_map stack_of_json (Json.list_field "stacks" json);
       current_stack = Option.bind (Json.member "current_stack" json) stack_of_json;
     }
 

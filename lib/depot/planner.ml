@@ -156,12 +156,17 @@ let journal ~wants plan =
 (* Rebuild the recorded wants and possession verdicts from "want"
    evidence fields, in journal order: (want, possessed-at-planning). *)
 let want_of_fields fields =
-  let str key = Option.bind (List.assoc_opt key fields) Json.to_string_opt in
-  let int key = Option.bind (List.assoc_opt key fields) Json.to_int_opt in
-  let bool key = Option.bind (List.assoc_opt key fields) Json.to_bool_opt in
-  match (str "label", Option.bind (str "key") Chash.of_hex) with
+  let json = Json.Obj fields in
+  match
+    ( Json.string_field "label" json,
+      Option.bind (Json.string_field "key" json) Chash.of_hex )
+  with
   | Some label, Some key ->
     Some
-      ( { w_label = label; w_key = key; w_size = Option.value (int "size") ~default:0 },
-        Option.value (bool "possessed") ~default:false )
+      ( {
+          w_label = label;
+          w_key = key;
+          w_size = Option.value (Json.int_field "size" json) ~default:0;
+        },
+        Option.value (Json.bool_field "possessed" json) ~default:false )
   | _ -> None

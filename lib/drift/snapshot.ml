@@ -180,91 +180,71 @@ let hash t = Chash.to_hex (Chash.of_bytes (hash_domain ^ to_jsonl t))
 
 (* -- parsing ---------------------------------------------------------- *)
 
-let str_field key json = Option.bind (Json.member key json) Json.to_string_opt
-
-let bool_field key json = Option.bind (Json.member key json) Json.to_bool_opt
-
-let strs_field key json =
-  match Option.bind (Json.member key json) Json.to_list_opt with
-  | None -> []
-  | Some items -> List.filter_map Json.to_string_opt items
-
-let pairs_field ~key ~value field json =
-  match Option.bind (Json.member field json) Json.to_list_opt with
-  | None -> []
-  | Some items ->
-    List.filter_map
-      (fun item ->
-        match (str_field key item, str_field value item) with
-        | Some k, Some v -> Some (k, v)
-        | _ -> None)
-      items
-
 let parse_record json t =
-  match str_field "type" json with
+  match Json.string_field "type" json with
   | Some "meta" -> (
-    match
-      ( Option.bind (Json.member "epoch" json) Json.to_int_opt,
-        Option.bind (Json.member "seed" json) Json.to_int_opt )
-    with
+    match (Json.int_field "epoch" json, Json.int_field "seed" json) with
     | Some epoch, Some seed ->
       Ok
         {
           t with
           epoch;
           seed;
-          label = Option.value (str_field "label" json) ~default:"";
+          label = Option.value (Json.string_field "label" json) ~default:"";
         }
     | _ -> Error "meta record needs integer epoch and seed")
   | Some "site" -> (
-    match str_field "name" json with
+    match Json.string_field "name" json with
     | None -> Error "site record needs a name"
     | Some name ->
       let s =
         {
           ss_name = name;
           ss_ld_cache_current =
-            Option.value (bool_field "ld_cache_current" json) ~default:true;
+            Option.value (Json.bool_field "ld_cache_current" json) ~default:true;
           ss_discovery =
             Option.value (Json.member "discovery" json) ~default:Json.Null;
-          ss_inventory = pairs_field ~key:"path" ~value:"digest" "inventory" json;
+          ss_inventory =
+            Json.pairs_field ~key:"path" ~value:"digest" "inventory" json;
         }
       in
       Ok { t with sites = s :: t.sites })
   | Some "binary" -> (
-    match (str_field "id" json, str_field "home" json) with
+    match (Json.string_field "id" json, Json.string_field "home" json) with
     | Some id, Some home ->
       let b =
         {
           bs_id = id;
           bs_home = home;
-          bs_digest = Option.value (str_field "digest" json) ~default:"";
-          bs_error = str_field "error" json;
+          bs_digest =
+            Option.value (Json.string_field "digest" json) ~default:"";
+          bs_error = Json.string_field "error" json;
           bs_description =
             Option.value (Json.member "description" json) ~default:Json.Null;
-          bs_bundle = pairs_field ~key:"name" ~value:"digest" "bundle" json;
+          bs_bundle = Json.pairs_field ~key:"name" ~value:"digest" "bundle" json;
         }
       in
       Ok { t with binaries = b :: t.binaries }
     | _ -> Error "binary record needs id and home")
   | Some "possession" -> (
-    match str_field "site" json with
+    match Json.string_field "site" json with
     | None -> Error "possession record needs a site"
     | Some site ->
-      Ok
-        { t with possession = (site, strs_field "objects" json) :: t.possession })
+      let objects = Json.strings_field "objects" json in
+      Ok { t with possession = (site, objects) :: t.possession })
   | Some "cell" -> (
-    match (str_field "binary" json, str_field "target" json) with
+    match (Json.string_field "binary" json, Json.string_field "target" json) with
     | Some binary, Some target ->
       let c =
         {
           cl_binary = binary;
           cl_target = target;
-          cl_basic = Option.value (bool_field "basic" json) ~default:false;
-          cl_basic_reasons = strs_field "basic_reasons" json;
-          cl_extended = Option.value (bool_field "extended" json) ~default:false;
-          cl_extended_reasons = strs_field "extended_reasons" json;
-          cl_staged = strs_field "staged" json;
+          cl_basic = Option.value (Json.bool_field "basic" json) ~default:false;
+          cl_basic_reasons = Json.strings_field "basic_reasons" json;
+          cl_extended =
+            Option.value (Json.bool_field "extended" json) ~default:false;
+          cl_extended_reasons = Json.strings_field "extended_reasons" json;
+          cl_staged = Json.strings_field "staged" json;
         }
       in
       Ok { t with cells = c :: t.cells }
@@ -272,50 +252,27 @@ let parse_record json t =
   | Some _ -> Ok t (* unknown record types are preserved-by-ignoring *)
   | None -> Error "record without a type"
 
+let header =
+  {
+    Json.hd_name = "epoch document";
+    hd_kind = "epoch";
+    hd_max_schema = schema_version;
+  }
+
 let of_jsonl body =
-  let lines =
-    String.split_on_char '\n' body |> List.filter (fun l -> String.trim l <> "")
+  let empty =
+    {
+      epoch = 0;
+      seed = 0;
+      label = "";
+      sites = [];
+      binaries = [];
+      possession = [];
+      cells = [];
+    }
   in
-  match lines with
-  | [] -> Error "empty epoch document"
-  | header :: records -> (
-    match Json.parse header with
-    | Error e -> Error ("header: " ^ e)
-    | Ok json -> (
-      match
-        ( str_field "type" json,
-          Option.bind (Json.member "schema" json) Json.to_int_opt )
-      with
-      | Some "epoch", Some v when v <= schema_version ->
-        let empty =
-          {
-            epoch = 0;
-            seed = 0;
-            label = "";
-            sites = [];
-            binaries = [];
-            possession = [];
-            cells = [];
-          }
-        in
-        let rec go lineno t = function
-          | [] -> Ok (normalize t)
-          | line :: rest -> (
-            let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-            match Json.parse line with
-            | Error e -> fail e
-            | Ok json -> (
-              match parse_record json t with
-              | Error e -> fail e
-              | Ok t -> go (lineno + 1) t rest))
-        in
-        go 2 empty records
-      | Some "epoch", Some v ->
-        Error
-          (Printf.sprintf "unsupported epoch schema %d (this build reads <= %d)"
-             v schema_version)
-      | Some "epoch", None -> Error "header: missing schema version"
-      | _ -> Error "not a drift epoch document"))
+  Json.read_jsonl ~header (fun t json -> parse_record json t) empty body
+  |> Result.map (fun (_, t) -> normalize t)
 
 (* -- evidence atoms ---------------------------------------------------- *)
 

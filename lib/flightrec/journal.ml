@@ -14,81 +14,41 @@ type record = {
 
 type t = { schema : int; tool : string; records : record list }
 
-let parse_record line_no json =
+let parse_record json =
   match json with
-  | Json.Obj fields ->
-    let kind =
-      match List.assoc_opt "type" fields with
-      | Some (Json.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "line %d: record has no type" line_no)
-    in
-    let seq =
-      match List.assoc_opt "seq" fields with
-      | Some (Json.Int n) -> Ok n
-      | _ -> Error (Printf.sprintf "line %d: record has no seq" line_no)
-    in
-    let span =
-      match List.assoc_opt "span" fields with
-      | Some (Json.Int n) -> Some n
-      | _ -> None
-    in
-    (match (kind, seq) with
-    | Ok kind, Ok seq ->
+  | Json.Obj fields -> (
+    match (Json.string_field "type" json, Json.int_field "seq" json) with
+    | None, _ -> Error "record has no type"
+    | _, None -> Error "record has no seq"
+    | Some kind, Some seq ->
       let fields =
         List.filter
           (fun (k, _) -> k <> "type" && k <> "seq" && k <> "span")
           fields
       in
-      Ok { seq; span; kind; fields }
-    | (Error _ as e), _ | _, (Error _ as e) -> e)
-  | _ -> Error (Printf.sprintf "line %d: record is not an object" line_no)
+      Ok { seq; span = Json.int_field "span" json; kind; fields })
+  | _ -> Error "record is not an object"
 
 let parse body =
-  let lines =
-    String.split_on_char '\n' body
-    |> List.filter (fun l -> String.trim l <> "")
+  (* Built per call, not at module initialisation: a record allocated at
+     start-up shifts the heap, and with it the per-stage allocation
+     figures of `evaltool --costs` and `feam stats`. *)
+  let header =
+    {
+      Json.hd_name = "journal";
+      hd_kind = "journal";
+      hd_max_schema = Recorder.schema_version;
+    }
   in
-  match lines with
-  | [] -> Error "empty journal"
-  | header :: rest -> (
-    match Json.parse header with
-    | Error e -> Error ("journal header: " ^ e)
-    | Ok h -> (
-      match Json.member "type" h with
-      | Some (Json.Str "journal") -> (
-        let schema =
-          match Json.member "schema" h with
-          | Some (Json.Int n) -> Some n
-          | _ -> None
-        in
-        match schema with
-        | None -> Error "journal header: missing schema version"
-        | Some schema when schema > Recorder.schema_version ->
-          Error
-            (Printf.sprintf
-               "journal schema %d is newer than this build understands (%d)"
-               schema Recorder.schema_version)
-        | Some schema ->
-          let tool =
-            match Json.member "tool" h with
-            | Some (Json.Str s) -> s
-            | _ -> ""
-          in
-          let rec records line_no acc = function
-            | [] -> Ok (List.rev acc)
-            | line :: rest -> (
-              match Json.parse line with
-              | Error e ->
-                Error (Printf.sprintf "line %d: %s" line_no e)
-              | Ok json -> (
-                match parse_record line_no json with
-                | Error _ as e -> e
-                | Ok r -> records (line_no + 1) (r :: acc) rest))
-          in
-          (match records 2 [] rest with
-          | Error _ as e -> e
-          | Ok records -> Ok { schema; tool; records }))
-      | _ -> Error "not a feam journal (missing {\"type\":\"journal\"} header)"))
+  Json.read_jsonl ~header
+    (fun acc json -> Result.map (fun r -> r :: acc) (parse_record json))
+    [] body
+  |> Result.map (fun (h, records) ->
+         {
+           schema = Option.value (Json.int_field "schema" h) ~default:0;
+           tool = Option.value (Json.string_field "tool" h) ~default:"";
+           records = List.rev records;
+         })
 
 (* Accessors. *)
 
@@ -101,10 +61,9 @@ let last ~kind t =
     (fun acc r -> if r.kind = kind then Some r else acc)
     None t.records
 
-let field key r = List.assoc_opt key r.fields
+let field key r = Json.member key (Json.Obj r.fields)
 
-let str_field key r =
-  match field key r with Some (Json.Str s) -> Some s | _ -> None
+let str_field key r = Json.string_field key (Json.Obj r.fields)
 
 (* Decision records for a determinant, in journal order; the last one
    is the verdict that stood. *)

@@ -37,10 +37,24 @@ let sink_of_format ~emit = function
   | Jsonl -> Sink.jsonl ~emit ()
   | Chrome -> Sink.chrome ~emit ()
 
-(* [configure ?clock ~emit format] turns tracing on: spans flow to a
-   sink of the given format, which hands its rendered output to [emit]
-   at {!flush}. *)
-let configure ?clock ~emit format =
+(* [configure ?clock ?emit ?out format] turns tracing on: spans flow to
+   a sink of the given format, which hands its rendered output to [emit]
+   at {!flush}.  Without [emit] the output goes to the file [out]; when
+   [out] is absent or "-", [Pretty] goes to stderr and the machine
+   formats to stdout. *)
+let configure ?clock ?emit ?out format =
+  let emit =
+    match (emit, out) with
+    | Some emit, _ -> emit
+    | None, Some file when file <> "-" ->
+      fun text ->
+        Out_channel.with_open_text file (fun oc ->
+            Out_channel.output_string oc text)
+    | None, _ -> (
+      match format with
+      | Pretty -> prerr_string
+      | Jsonl | Chrome -> print_string)
+  in
   Trace.configure ?clock (sink_of_format ~emit format)
 
 (* Flush hooks: other sinks that buffer output (the flight recorder's

@@ -236,3 +236,59 @@ let to_string_opt = function Str s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
+
+let string_field key json = Option.bind (member key json) to_string_opt
+let int_field key json = Option.bind (member key json) to_int_opt
+let bool_field key json = Option.bind (member key json) to_bool_opt
+
+let number_field key json =
+  match member key json with
+  | Some (Int i) -> Some (float_of_int i)
+  | Some (Float f) -> Some f
+  | _ -> None
+
+let list_field key json =
+  Option.value (Option.bind (member key json) to_list_opt) ~default:[]
+
+let strings_field key json = List.filter_map to_string_opt (list_field key json)
+
+let pairs_field ~key ~value field json =
+  list_field field json
+  |> List.filter_map (fun item ->
+         match (string_field key item, string_field value item) with
+         | Some k, Some v -> Some (k, v)
+         | _ -> None)
+
+(* -- versioned JSONL documents --------------------------------------------- *)
+
+type header = { hd_name : string; hd_kind : string; hd_max_schema : int }
+
+(* Every line reader shares one line count: nonblank lines, from 1, so a
+   headed document's first record is line 2. *)
+let read_jsonl ?header step init text =
+  let lines =
+    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
+  in
+  let rec records lineno acc = function
+    | [] -> Ok acc
+    | line :: rest -> (
+      match Result.bind (parse line) (step acc) with
+      | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
+      | Ok acc -> records (lineno + 1) acc rest)
+  in
+  match (header, lines) with
+  | None, lines -> Result.map (fun acc -> (Null, acc)) (records 1 init lines)
+  | Some h, [] -> Error ("empty " ^ h.hd_name)
+  | Some h, first :: rest -> (
+    match parse first with
+    | Error e -> Error (Printf.sprintf "%s header: %s" h.hd_name e)
+    | Ok json when string_field "type" json <> Some h.hd_kind ->
+      Error (Printf.sprintf "missing %s header {\"type\":%S}" h.hd_name h.hd_kind)
+    | Ok json -> (
+      match int_field "schema" json with
+      | None -> Error (h.hd_name ^ " header: missing schema version")
+      | Some n when n > h.hd_max_schema ->
+        Error
+          (Printf.sprintf "%s schema %d is newer than this build understands (%d)"
+             h.hd_name n h.hd_max_schema)
+      | Some _ -> Result.map (fun acc -> (json, acc)) (records 2 init rest)))

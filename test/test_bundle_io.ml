@@ -118,6 +118,40 @@ let test_parse_bad_line () =
       (Str_split.contains ~sub:"line 3" e)
   | Ok _ -> Alcotest.fail "expected parse error"
 
+(* A manifest reader shown a bundle names the magic it expected. *)
+let test_manifest_magic_error () =
+  match Bundle_io.parse_manifest (Bundle_io.magic ^ "\n") with
+  | Error e ->
+    Alcotest.(check string) "names the manifest magic"
+      "bundle parse error at line 1: missing FEAM-MANIFEST 1 magic" e
+  | Ok _ -> Alcotest.fail "bundle accepted as a manifest"
+
+(* A negative declared size is malformed in both magics, whichever
+   section carries it. *)
+let test_negative_declared_size () =
+  let bundle = make_bundle () in
+  let negative =
+    match bundle.Bundle.copies with
+    | c :: rest ->
+      let c = { c with Bdc.copy_declared_size = -999999 } in
+      { bundle with Bundle.copies = c :: rest }
+    | [] -> Alcotest.fail "fixture bundle has no copies"
+  in
+  let expect what = function
+    | Error (Bundle_io.Malformed m) ->
+      Alcotest.(check string) what
+        "[copy] section: negative declared-size -999999" m
+    | Error e ->
+      Alcotest.failf "%s: wrong error: %s" what (Bundle_io.load_error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: negative declared-size accepted" what
+  in
+  expect "bundle" (Bundle_io.parse_checked (Bundle_io.render negative));
+  let manifest =
+    Bundle_manifest.of_bundle (Feam_depot.Store.create ()) negative
+  in
+  expect "manifest"
+    (Bundle_io.parse_manifest_checked (Bundle_io.render_manifest manifest))
+
 (* -- Loader hardening: entry names that collide or escape ---------------------- *)
 
 let test_parse_checked_accepts_clean () =
@@ -182,6 +216,10 @@ let suite =
         test_parsed_bundle_usable_for_target_phase;
       Alcotest.test_case "parse rejects garbage" `Quick test_parse_rejects_garbage;
       Alcotest.test_case "parse error line numbers" `Quick test_parse_bad_line;
+      Alcotest.test_case "manifest magic error names FEAM-MANIFEST" `Quick
+        test_manifest_magic_error;
+      Alcotest.test_case "negative declared-size is malformed" `Quick
+        test_negative_declared_size;
       Alcotest.test_case "parse_checked accepts clean artifact" `Quick
         test_parse_checked_accepts_clean;
       Alcotest.test_case "parse_checked rejects duplicate copy" `Quick

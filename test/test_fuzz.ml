@@ -68,8 +68,8 @@ let mutate seed n (s : string) =
 
 let gen_mutation = QCheck.Gen.(pair (int_range 0 100000) (int_range 1 24))
 
-(* The @fuzz campaign runs the ELF and .dynsym properties in QCheck's
-   long mode: this many times their tier-1 count. *)
+(* The @fuzz campaign runs the ELF, .dynsym and record-decoder
+   properties in QCheck's long mode: this many times their tier-1 count. *)
 let campaign_factor = 10
 
 let prop_elf_reader_total =
@@ -119,15 +119,180 @@ let test_bounds_check_overflow () =
   | Ok _ -> Alcotest.fail "expected the mutated image to be rejected"
   | Error _ -> ()
 
+(* A valid bundle, the source of the bundle and manifest documents. *)
+let base_bundle =
+  lazy
+    (let site, installs = Fixtures.small_site ~name:"fuzzhome" () in
+     let path, install =
+       Fixtures.compiled_binary ~program:Fixtures.fortran_program site installs
+     in
+     let env = Fixtures.session_env site install in
+     Fixtures.run_exn
+       (Feam_core.Phases.source_phase Feam_core.Config.default site env
+          ~binary_path:path))
+
+let journal_text () =
+  let module Recorder = Feam_flightrec.Recorder in
+  let module Json = Feam_util.Json in
+  let text = ref "" in
+  Recorder.configure ~tool:"fuzz" ~emit:(fun body -> text := body) ();
+  Recorder.evidence ~stage:"edc" ~kind:"glibc" [ ("version", Json.Str "2.5") ];
+  Recorder.decision ~determinant:"glibc" ~verdict:"pass"
+    [ ("required", Json.Str "2.3.4"); ("missing", Json.List []) ];
+  Recorder.payload ~kind:"config" (Json.Str "retries = 2");
+  Recorder.flush ();
+  Recorder.disable ();
+  !text
+
+let epoch_text (b : Feam_core.Bundle.t) =
+  Feam_drift.Snapshot.to_jsonl
+    {
+      Feam_drift.Snapshot.epoch = 3;
+      seed = 42;
+      label = "stale-ld-cache fir";
+      sites =
+        [
+          {
+            Feam_drift.Snapshot.ss_name = "fir";
+            ss_ld_cache_current = false;
+            ss_discovery = Feam_core.Discovery.to_json b.source_discovery;
+            ss_inventory = [ ("/usr/lib64/libm.so.6", "0123abcd") ];
+          };
+        ];
+      binaries =
+        [
+          {
+            Feam_drift.Snapshot.bs_id = "cg.B";
+            bs_home = "fuzzhome";
+            bs_digest = "89ab";
+            bs_error = None;
+            bs_description =
+              Feam_core.Description.to_json b.binary_description;
+            bs_bundle = [ ("copy:libmpi.so.0", "cdef") ];
+          };
+        ];
+      possession = [ ("fir", [ "cdef" ]) ];
+      cells =
+        [
+          {
+            Feam_drift.Snapshot.cl_binary = "cg.B";
+            cl_target = "fir";
+            cl_basic = true;
+            cl_basic_reasons = [];
+            cl_extended = false;
+            cl_extended_reasons = [ "glibc 2.12 > 2.5" ];
+            cl_staged = [ "libmpi.so.0" ];
+          };
+        ];
+    }
+
+let timeline_text () =
+  let entry epoch ready =
+    {
+      Feam_drift.Timeline.te_epoch = epoch;
+      te_hash = "0123";
+      te_label = "";
+      te_cells_total = 4;
+      te_ready = ready;
+      te_rate = float_of_int ready /. 4.;
+      te_reevaluated = 2;
+      te_flips =
+        [
+          {
+            Feam_drift.Timeline.fe_cell = "cg.B->fir";
+            fe_before = true;
+            fe_after = false;
+          };
+        ];
+      te_attribution =
+        [
+          {
+            Feam_drift.Timeline.ae_atom = "fir ld_cache_current";
+            ae_cells = 2;
+            ae_to_ready = 0;
+            ae_to_not_ready = 1;
+          };
+        ];
+    }
+  in
+  Feam_drift.Timeline.render_history [ entry 0 4; entry 1 3 ]
+
+let baseline_text () =
+  Feam_analysis.Baseline.render
+    (Feam_analysis.Baseline.of_findings
+       [
+         {
+           Feam_core.Diagnose.rule_id = "abi-skew";
+           level = Feam_core.Diagnose.Warn;
+           subject = "libx.so.1";
+           message = "two majors";
+           fixit = None;
+         };
+       ])
+
+let reproducer_text () =
+  Feam_agree.Minimize.to_string
+    {
+      Feam_agree.Minimize.rp_seed = 42;
+      rp_index = 17;
+      rp_keep = [ 0; 2 ];
+      rp_predictor = Feam_agree.Verdict.Tec;
+      rp_failure = "unsatisfied-versions";
+      rp_perturbations = [ "foreign-lib libfftw3.so.3" ];
+    }
+
+(* Every versioned record format FEAM reads back: (format, a valid
+   rendered document, whether its decoder accepts a text). *)
+let record_formats =
+  lazy
+    (let b = Lazy.force base_bundle in
+     let manifest =
+       Feam_core.Bundle_manifest.of_bundle (Feam_depot.Store.create ()) b
+     in
+     let decoder parse text = Result.is_ok (parse text) in
+     let formats =
+       [
+         ( "bundle",
+           Feam_core.Bundle_io.render b,
+           decoder Feam_core.Bundle_io.parse );
+         ( "manifest",
+           Feam_core.Bundle_io.render_manifest manifest,
+           decoder Feam_core.Bundle_io.parse_manifest );
+         ("journal", journal_text (), decoder Feam_flightrec.Journal.parse);
+         ("epoch", epoch_text b, decoder Feam_drift.Snapshot.of_jsonl);
+         ( "timeline",
+           timeline_text (),
+           decoder Feam_drift.Timeline.parse_history );
+         ("baseline", baseline_text (), decoder Feam_analysis.Baseline.parse);
+         ( "reproducer",
+           reproducer_text (),
+           decoder Feam_agree.Minimize.of_string );
+       ]
+     in
+     List.iter
+       (fun (name, doc, decode) ->
+         if not (decode doc) then invalid_arg (name ^ ": base document rejected"))
+       formats;
+     formats)
+
 (* Crash inputs the campaign found, one per line of
-   fixtures/fuzz_crashes.txt: "<image> mutate <seed> <n>" or
-   "<image> truncate <len>", where <image> is [elf] or [dynsym].  Each
-   must parse to [Ok] or a typed [Error]. *)
+   fixtures/fuzz_crashes.txt: "<input> mutate <seed> <n>" or
+   "<input> truncate <len>", where <input> is [elf] or [dynsym] (an
+   image for the ELF reader) or a record format of [record_formats]
+   (a document for its decoder).  Each must decode to [Ok] or a typed
+   [Error]. *)
 let test_crash_fixtures () =
-  let image = function
-    | "elf" -> base_image
-    | "dynsym" -> symbol_image
-    | other -> Alcotest.failf "fuzz_crashes.txt: unknown image %S" other
+  let elf s = ignore (Feam_elf.Reader.parse s) in
+  let target = function
+    | "elf" -> (base_image, elf)
+    | "dynsym" -> (symbol_image, elf)
+    | other -> (
+      match
+        List.find_opt (fun (name, _, _) -> name = other)
+          (Lazy.force record_formats)
+      with
+      | Some (_, doc, decode) -> (doc, fun s -> ignore (decode s))
+      | None -> Alcotest.failf "fuzz_crashes.txt: unknown input %S" other)
   in
   let cases =
     In_channel.with_open_text "fixtures/fuzz_crashes.txt" In_channel.input_all
@@ -137,45 +302,43 @@ let test_crash_fixtures () =
   Alcotest.(check bool) "at least one recorded crash" true (cases <> []);
   List.iter
     (fun line ->
-      let input =
+      let input, decode =
         match String.split_on_char ' ' line with
-        | [ img; "mutate"; seed; n ] ->
-          mutate (int_of_string seed) (int_of_string n) (image img)
-        | [ img; "truncate"; len ] ->
-          String.sub (image img) 0 (int_of_string len)
+        | [ name; "mutate"; seed; n ] ->
+          let doc, decode = target name in
+          (mutate (int_of_string seed) (int_of_string n) doc, decode)
+        | [ name; "truncate"; len ] ->
+          let doc, decode = target name in
+          (String.sub doc 0 (int_of_string len), decode)
         | _ -> Alcotest.failf "fuzz_crashes.txt: malformed line %S" line
       in
-      match Feam_elf.Reader.parse input with
-      | Ok _ | Error _ -> ()
+      match decode input with
+      | () -> ()
       | exception e ->
-        Alcotest.failf "%s: %s escaped the reader" line (Printexc.to_string e))
+        Alcotest.failf "%s: %s escaped the decoder" line (Printexc.to_string e))
     cases
 
-(* A valid bundle artifact to mutate. *)
-let base_bundle_text =
-  lazy
-    (let site, installs = Fixtures.small_site ~name:"fuzzhome" () in
-     let path, install =
-       Fixtures.compiled_binary ~program:Fixtures.fortran_program site installs
-     in
-     let env = Fixtures.session_env site install in
-     let bundle =
-       Fixtures.run_exn
-         (Feam_core.Phases.source_phase Feam_core.Config.default site env
-            ~binary_path:path)
-     in
-     Feam_core.Bundle_io.render bundle)
-
-let prop_bundle_parser_total =
-  QCheck.Test.make ~name:"fuzz: bundle parser is total on mutated artifacts"
-    ~count:300
+(* Each case mutates every format's document with the same (seed, n): a
+   decoder may accept or reject the bytes, but an exception escaping it
+   fails the case and names the format. *)
+let prop_record_decoders_total =
+  QCheck.Test.make ~long_factor:campaign_factor
+    ~name:"fuzz: record decoders are total on mutated documents" ~count:300
     (QCheck.make
-       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       ~print:(fun (seed, n) ->
+         Printf.sprintf "seed=%d n=%d (every format: %s)" seed n
+           (String.concat ", "
+              (List.map (fun (name, _, _) -> name) (Lazy.force record_formats))))
        gen_mutation)
     (fun (seed, n) ->
-      let text = Lazy.force base_bundle_text in
-      match Feam_core.Bundle_io.parse (mutate seed n text) with
-      | Ok _ | Error _ -> true)
+      List.for_all
+        (fun (name, doc, decode) ->
+          match decode (mutate seed n doc) with
+          | (_ : bool) -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "format=%s seed=%d n=%d: %s escaped" name
+              seed n (Printexc.to_string e))
+        (Lazy.force record_formats))
 
 let prop_json_parser_total =
   QCheck.Test.make ~name:"fuzz: JSON parser is total on arbitrary strings"
@@ -247,6 +410,7 @@ let campaign =
     prop_elf_reader_truncations;
     prop_symbol_tables_total;
     prop_symbol_tables_truncations;
+    prop_record_decoders_total;
   ]
 
 let suite =
@@ -260,7 +424,7 @@ let suite =
       Qseed.to_alcotest prop_elf_reader_truncations;
       Qseed.to_alcotest prop_symbol_tables_total;
       Qseed.to_alcotest prop_symbol_tables_truncations;
-      Qseed.to_alcotest prop_bundle_parser_total;
+      Qseed.to_alcotest prop_record_decoders_total;
       Qseed.to_alcotest prop_json_parser_total;
       Qseed.to_alcotest prop_objdump_parser_total;
       Qseed.to_alcotest prop_soname_parser_total;
