@@ -323,9 +323,8 @@ let open_depot dir =
    content-addressed depot: objects already in the store are recognized
    (depot.hit) and the store is saved back when the run completes. *)
 let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
-    ?(lint_fleet = false) ?depot_dir scenario_name from_site to_site binary
+    ?(lint_fleet = false) ?depot_dir scenario from_site to_site binary
     basic_only lint =
-  let scenario = load_scenario scenario_name in
   let home =
     require_site scenario
       (Some (Option.value from_site ~default:(Site.name (List.hd scenario.sites))))
@@ -445,8 +444,8 @@ let cmd_predict debug trace trace_out trace_alloc journal scenario_name
   setup_logs debug;
   setup_obs ~journal ~alloc:trace_alloc trace trace_out;
   let result, clock =
-    run_predict_pipeline ~symbols ?depot_dir scenario_name from_site to_site
-      binary basic_only lint
+    run_predict_pipeline ~symbols ?depot_dir (load_scenario scenario_name)
+      from_site to_site binary basic_only lint
   in
   (match result with
   | Ok report ->
@@ -472,8 +471,8 @@ let cmd_metrics debug trace trace_out scenario_name from_site to_site binary
   setup_logs debug;
   setup_obs trace trace_out;
   let result, _clock =
-    run_predict_pipeline ~announce_source:false scenario_name from_site to_site
-      binary basic_only lint
+    run_predict_pipeline ~announce_source:false (load_scenario scenario_name)
+      from_site to_site binary basic_only lint
   in
   let verdict =
     match result with
@@ -1788,11 +1787,13 @@ let cmd_stats debug scenario_name from_site to_site binary basic_only lint
     format out =
   setup_logs debug;
   Feam_obs.Prof.set_enabled true;
-  (* one batch over one world, so the probe memo's counters (and its
-     cache.hit_rate gauge) are part of the exposition *)
+  (* one batch over one world, so the probe and parse memos' counters
+     (and their cache.hit_rate gauges) are part of the exposition; the
+     world is built before the batch, so its provenance outlives it *)
+  let scenario = load_scenario scenario_name in
   let result, _clock =
     Feam_core.Probe.with_memo @@ fun () ->
-    run_predict_pipeline ~announce_source:false ~lint_fleet:true scenario_name
+    run_predict_pipeline ~announce_source:false ~lint_fleet:true scenario
       from_site to_site binary basic_only lint
   in
   (match result with

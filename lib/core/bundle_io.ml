@@ -209,9 +209,13 @@ let fields_all fields key =
 let declared_size fields =
   Option.bind (field fields "declared-size") int_of_string_opt
 
+(* The largest declared-size a section may carry, 1 TiB: with 2^16
+   entries of at most 2^40 bytes, sums cannot overflow a 63-bit int. *)
+let max_declared_size = 1 lsl 40
+
 (* Reject, before any payload is decoded, duplicate and traversing entry
-   names across the [copy] and [probe] sections, and a negative
-   declared-size in any section. *)
+   names across the [copy] and [probe] sections, and a negative or
+   oversized declared-size in any section. *)
 let check_sections sections =
   let check section key seen fields =
     match field fields key with
@@ -231,6 +235,11 @@ let check_sections sections =
         Error
           (Malformed
              (Printf.sprintf "[%s] section: negative declared-size %d" section n))
+      | Some n, _ when n > max_declared_size ->
+        Error
+          (Malformed
+             (Printf.sprintf "[%s] section: declared-size %d exceeds 2^40"
+                section n))
       | _, "copy" ->
         Result.bind (check "copy" "request" seen_copies fields) (fun seen ->
             go seen seen_probes rest)

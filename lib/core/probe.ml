@@ -207,6 +207,14 @@ type memo = {
 
 let memo : memo option ref = ref None
 
+(* One-slot caches on the physical value: within a cell every candidate
+   stack is probed with the same bundle and config. *)
+let last_bundle : (Bundle.t * string) option ref = ref None
+let last_config : (Config.t * string) option ref = ref None
+
+(* The batch scope also memoizes ELF parsing and undoes the batch's
+   provenance registrations (probe compiles register a fresh image each),
+   so nothing the batch built stays reachable once it ends. *)
 let with_memo f =
   (* registered at zero, so the cache telemetry lists the memo even
      before (or without) a hit *)
@@ -214,12 +222,14 @@ let with_memo f =
   Feam_obs.Metrics.incr "probe.memo.miss" ~by:0;
   let outer = !memo in
   memo := Some { entries = Hashtbl.create 256; templates = Hashtbl.create 16 };
-  Fun.protect ~finally:(fun () -> memo := outer) f
-
-(* One-slot caches on the physical value: within a cell every candidate
-   stack is probed with the same bundle and config. *)
-let last_bundle : (Bundle.t * string) option ref = ref None
-let last_config : (Config.t * string) option ref = ref None
+  Fun.protect
+    ~finally:(fun () ->
+      memo := outer;
+      last_bundle := None;
+      last_config := None)
+    (fun () ->
+      Feam_toolchain.Provenance.with_scope @@ fun () ->
+      Feam_elf.Reader.with_memo f)
 
 let cached slot value render =
   match !slot with

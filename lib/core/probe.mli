@@ -65,7 +65,13 @@ val probe_fingerprint : string -> string
     images), clock charges and journal records — so it leaves the state a
     second run would.  The memo is dropped when [f] returns; wrap only
     batches over one fixed world, since it never detects a site change.
-    Hits and misses count as [probe.memo.hit] / [probe.memo.miss]. *)
+    Hits and misses count as [probe.memo.hit] / [probe.memo.miss].
+
+    The same scope opens {!Feam_elf.Reader.with_memo}, so every image is
+    parsed once per batch, and {!Feam_toolchain.Provenance.with_scope},
+    so the batch's provenance registrations are undone when it ends:
+    build worlds outside the batch, since their provenance must outlive
+    it. *)
 val with_memo : (unit -> 'a) -> 'a
 
 (** Full stack test: native probe when possible, then every shipped

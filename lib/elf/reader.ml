@@ -276,7 +276,7 @@ let parse_abi_note r section =
       let patch = Codec.Reader.u32 r (base + 28) in
       Some (maj, min_, patch)
 
-let parse (data : string) : (t, error) result =
+let parse_image (data : string) : (t, error) result =
   try
     let cls, endian = parse_ident data in
     let r = Codec.Reader.create ~endian data in
@@ -380,6 +380,67 @@ let parse (data : string) : (t, error) result =
   with
   | Parse_error e -> Error e
   | Codec.Truncated what -> Error (Malformed ("truncated: " ^ what))
+
+(* -- batch-scoped parse memo --------------------------------------------- *)
+
+(* Within one evaluation batch every layer re-reads the same few thousand
+   images (the BDC's objdump, ldd, the loader, the probes), so [parse] is
+   memoized on the image bytes while {!with_memo} is open.  [parse_image]
+   is a pure function of its input, so an entry — [Error]s included —
+   stays valid for the whole batch, and the parsed value is shared
+   read-only.  The table is bounded: two generations of [generation]
+   entries; a miss lands in the young one, and a full young generation
+   becomes the old one, dropping the previous old one.  Entries are held
+   strongly, so hits depend only on the call sequence, never on the GC. *)
+let generation = 128
+
+module Images = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash (* every byte of a string feeds the hash *)
+end)
+
+type memo = {
+  mutable young : (t, error) result Images.t;
+  mutable old : (t, error) result Images.t;
+}
+
+let memo : memo option ref = ref None
+
+let with_memo f =
+  (* registered at zero, so the cache telemetry lists the memo even
+     before (or without) a hit *)
+  Feam_obs.Metrics.incr "elf.parse_memo.hit" ~by:0;
+  Feam_obs.Metrics.incr "elf.parse_memo.miss" ~by:0;
+  match !memo with
+  | Some _ -> f ()
+  | None ->
+    memo := Some { young = Images.create generation; old = Images.create 1 };
+    Fun.protect ~finally:(fun () -> memo := None) f
+
+let parse data =
+  match !memo with
+  | None -> parse_image data
+  | Some m -> (
+    let held =
+      match Images.find_opt m.young data with
+      | None -> Images.find_opt m.old data
+      | hit -> hit
+    in
+    match held with
+    | Some r ->
+      Feam_obs.Metrics.incr "elf.parse_memo.hit";
+      r
+    | None ->
+      Feam_obs.Metrics.incr "elf.parse_memo.miss";
+      let r = parse_image data in
+      if Images.length m.young >= generation then begin
+        m.old <- m.young;
+        m.young <- Images.create generation
+      end;
+      Images.add m.young data r;
+      r)
 
 let parse_exn data =
   match parse data with

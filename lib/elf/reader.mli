@@ -29,7 +29,17 @@ val size : t -> int
 
 val section_by_name : t -> string -> section option
 
+(** Parse an image.  Inside {!with_memo} the result is memoized on the
+    bytes, so the returned value may be shared with earlier callers and
+    must be treated as read-only. *)
 val parse : string -> (t, error) result
+
+(** [with_memo f] runs [f] with {!parse} memoized on the image bytes,
+    [Error] results included.  The memo is bounded (two generations of
+    128 entries, the older dropped when the younger fills) and dropped
+    when [f] returns; a nested call shares the open memo.  Hits and
+    misses count as [elf.parse_memo.hit] / [elf.parse_memo.miss]. *)
+val with_memo : (unit -> 'a) -> 'a
 
 (** @raise Invalid_argument when {!parse} would return an error. *)
 val parse_exn : string -> t

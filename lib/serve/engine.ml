@@ -146,10 +146,9 @@ let affected_cells t (changes : Evidence.Store.change list) =
           owners)
       t.cells
 
-(* One batch over the current world: the probe memo lives for exactly
-   this call, so evidence updates between batches are always seen. *)
+(* Re-predict [cells] over the current world; the caller opens the
+   batch, after the mutation, so the probe memo always sees it. *)
 let reevaluate t cells =
-  Feam_core.Probe.with_memo @@ fun () ->
   List.map
     (fun (c : Snapshot.cell) ->
       let binary =
@@ -284,6 +283,10 @@ let update_evidence t site_name action =
       List.iter
         (Vfs.remove (Site.vfs site))
         (Vfs.find_by_basename (Site.vfs site) (fun b -> b = name)));
+    (* Recapture and re-evaluation form one batch over the mutated
+       world: they share the parse and probe memos, and the probe
+       compiles' provenance is dropped when it ends. *)
+    Feam_core.Probe.with_memo @@ fun () ->
     (* A home-site change surfaces through its binaries' bundles, so
        recapture them along with the site itself. *)
     let changes =
@@ -421,6 +424,8 @@ let snapshot_fleet t ~out ~write_file =
    to the incrementally maintained table. *)
 let crosscheck_matches t =
   let full =
+    (* cold: no memo; only the probe compiles' provenance is dropped *)
+    Feam_toolchain.Provenance.with_scope @@ fun () ->
     List.map
       (fun (b, target) -> Driftrun.predict_cell b target)
       (Driftrun.all_cells t.sites t.binaries)

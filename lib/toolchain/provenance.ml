@@ -36,7 +36,31 @@ let registry : (string, t) Hashtbl.t = Hashtbl.create 1024
 
 let key image = Digest.string image
 
-let register image t = Hashtbl.replace registry (key image) t
+(* While a {!with_scope} is open, each registration first logs the
+   entry it overwrites (or its absence), newest first. *)
+let undo_log : (string * t option) list ref option ref = ref None
+
+let register image t =
+  let k = key image in
+  Option.iter
+    (fun log -> log := (k, Hashtbl.find_opt registry k) :: !log)
+    !undo_log;
+  Hashtbl.replace registry k t
+
+(* Undoing newest first leaves each key with the value it had before its
+   first registration in the scope. *)
+let with_scope f =
+  let outer = !undo_log in
+  let log = ref [] in
+  undo_log := Some log;
+  Fun.protect f ~finally:(fun () ->
+      undo_log := outer;
+      List.iter
+        (fun (k, before) ->
+          match before with
+          | Some v -> Hashtbl.replace registry k v
+          | None -> Hashtbl.remove registry k)
+        !log)
 
 let find image = Hashtbl.find_opt registry (key image)
 

@@ -28,3 +28,8 @@ type t = {
 val register : string -> t -> unit
 val find : string -> t option
 val clear : unit -> unit
+
+(** [with_scope f] runs [f] and then undoes every {!register} made during
+    it: keys it added are removed, and overwritten entries get their old
+    value back, so the registry is left as it was before.  Scopes nest. *)
+val with_scope : (unit -> 'a) -> 'a

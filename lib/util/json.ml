@@ -155,20 +155,26 @@ let parse_number st =
     | Some f -> Float f
     | None -> fail st ("bad number: " ^ token))
 
-let rec parse_value st =
+(* Arrays and objects nest at most this deep: [parse_value] recurses
+   once per level, so the cap bounds its stack use. *)
+let max_depth = 512
+
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> fail st "unexpected end of input"
   | Some '"' -> Str (parse_string_body st)
-  | Some '{' -> parse_obj st
-  | Some '[' -> parse_list st
+  | Some ('{' | '[') when depth >= max_depth ->
+    fail st (Printf.sprintf "nesting deeper than %d" max_depth)
+  | Some '{' -> parse_obj st (depth + 1)
+  | Some '[' -> parse_list st (depth + 1)
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
   | Some c when c = '-' || (c >= '0' && c <= '9') -> parse_number st
   | Some c -> fail st (Printf.sprintf "unexpected %C" c)
 
-and parse_list st =
+and parse_list st depth =
   expect st '[';
   skip_ws st;
   if peek st = Some ']' then begin
@@ -177,7 +183,7 @@ and parse_list st =
   end
   else begin
     let rec go acc =
-      let item = parse_value st in
+      let item = parse_value st depth in
       skip_ws st;
       match peek st with
       | Some ',' ->
@@ -191,7 +197,7 @@ and parse_list st =
     go []
   end
 
-and parse_obj st =
+and parse_obj st depth =
   expect st '{';
   skip_ws st;
   if peek st = Some '}' then begin
@@ -204,7 +210,7 @@ and parse_obj st =
       let key = parse_string_body st in
       skip_ws st;
       expect st ':';
-      let value = parse_value st in
+      let value = parse_value st depth in
       skip_ws st;
       match peek st with
       | Some ',' ->
@@ -221,7 +227,7 @@ and parse_obj st =
 let parse text =
   let st = { text; pos = 0 } in
   try
-    let v = parse_value st in
+    let v = parse_value st 0 in
     skip_ws st;
     if st.pos <> String.length text then Error "trailing garbage"
     else Ok v

@@ -13,7 +13,8 @@ type t =
 (** Compact (single-line) rendering with proper string escaping. *)
 val render : t -> string
 
-(** Parse a complete JSON document. *)
+(** Parse a complete JSON document.  Arrays and objects may nest at
+    most 512 deep; a deeper document is an [Error] naming the limit. *)
 val parse : string -> (t, string) result
 
 (** Object field lookup; [None] on non-objects and missing keys. *)

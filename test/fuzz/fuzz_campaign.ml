@@ -1,7 +1,7 @@
-(* The fuzz campaign: Test_fuzz's ELF, .dynsym and record-decoder
-   properties in QCheck's long mode, from one seed printed before anything
-   runs.  Exits non-zero when a property fails; replay with
-   QCHECK_SEED=<seed> dune build @fuzz. *)
+(* The fuzz campaign: Test_fuzz's ELF, .dynsym, parse-memo and
+   record-decoder properties in QCheck's long mode, from one seed printed
+   before anything runs.  Exits non-zero when a property fails; replay
+   with QCHECK_SEED=<seed> dune build @fuzz. *)
 
 let () =
   let seed = Qseed.seed () in

@@ -126,31 +126,65 @@ let test_manifest_magic_error () =
       "bundle parse error at line 1: missing FEAM-MANIFEST 1 magic" e
   | Ok _ -> Alcotest.fail "bundle accepted as a manifest"
 
+(* [bundle] loaded as a bundle and as a manifest: the declared-size
+   checks hold in both magics. *)
+let load_both bundle =
+  let manifest =
+    Bundle_manifest.of_bundle (Feam_depot.Store.create ()) bundle
+  in
+  [
+    ( "bundle",
+      Result.map ignore (Bundle_io.parse_checked (Bundle_io.render bundle)) );
+    ( "manifest",
+      Result.map ignore
+        (Bundle_io.parse_manifest_checked (Bundle_io.render_manifest manifest))
+    );
+  ]
+
+let expect_malformed message results =
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Error (Bundle_io.Malformed m) -> Alcotest.(check string) what message m
+      | Error e ->
+        Alcotest.failf "%s: wrong error: %s" what
+          (Bundle_io.load_error_to_string e)
+      | Ok () -> Alcotest.failf "%s: accepted, expected %S" what message)
+    results
+
+(* The fixture bundle with its first [n] copies declaring [size] bytes. *)
+let with_declared_sizes n size =
+  let bundle = make_bundle () in
+  if List.length bundle.Bundle.copies < n then
+    Alcotest.failf "fixture bundle has fewer than %d copies" n;
+  let copies =
+    List.mapi
+      (fun i c -> if i < n then { c with Bdc.copy_declared_size = size } else c)
+      bundle.Bundle.copies
+  in
+  { bundle with Bundle.copies }
+
 (* A negative declared size is malformed in both magics, whichever
    section carries it. *)
 let test_negative_declared_size () =
-  let bundle = make_bundle () in
-  let negative =
-    match bundle.Bundle.copies with
-    | c :: rest ->
-      let c = { c with Bdc.copy_declared_size = -999999 } in
-      { bundle with Bundle.copies = c :: rest }
-    | [] -> Alcotest.fail "fixture bundle has no copies"
-  in
-  let expect what = function
-    | Error (Bundle_io.Malformed m) ->
-      Alcotest.(check string) what
-        "[copy] section: negative declared-size -999999" m
-    | Error e ->
-      Alcotest.failf "%s: wrong error: %s" what (Bundle_io.load_error_to_string e)
-    | Ok _ -> Alcotest.failf "%s: negative declared-size accepted" what
-  in
-  expect "bundle" (Bundle_io.parse_checked (Bundle_io.render negative));
-  let manifest =
-    Bundle_manifest.of_bundle (Feam_depot.Store.create ()) negative
-  in
-  expect "manifest"
-    (Bundle_io.parse_manifest_checked (Bundle_io.render_manifest manifest))
+  expect_malformed "[copy] section: negative declared-size -999999"
+    (load_both (with_declared_sizes 1 (-999999)))
+
+(* A declared size above 2^40 is malformed in both magics: two copies
+   of [max_int] bytes would wrap [Bundle.total_bytes] and the planner's
+   sums.  2^40 itself still loads. *)
+let test_huge_declared_size () =
+  expect_malformed
+    (Printf.sprintf "[copy] section: declared-size %d exceeds 2^40" max_int)
+    (load_both (with_declared_sizes 2 max_int));
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Ok () -> ()
+      | Error e ->
+        Alcotest.failf "%s: declared-size 2^40 rejected: %s" what
+          (Bundle_io.load_error_to_string e))
+    (load_both (with_declared_sizes 2 (1 lsl 40)))
 
 (* -- Loader hardening: entry names that collide or escape ---------------------- *)
 
@@ -220,6 +254,8 @@ let suite =
         test_manifest_magic_error;
       Alcotest.test_case "negative declared-size is malformed" `Quick
         test_negative_declared_size;
+      Alcotest.test_case "declared-size above 2^40 is malformed" `Quick
+        test_huge_declared_size;
       Alcotest.test_case "parse_checked accepts clean artifact" `Quick
         test_parse_checked_accepts_clean;
       Alcotest.test_case "parse_checked rejects duplicate copy" `Quick

@@ -68,8 +68,9 @@ let mutate seed n (s : string) =
 
 let gen_mutation = QCheck.Gen.(pair (int_range 0 100000) (int_range 1 24))
 
-(* The @fuzz campaign runs the ELF, .dynsym and record-decoder
-   properties in QCheck's long mode: this many times their tier-1 count. *)
+(* The @fuzz campaign runs the ELF, .dynsym, parse-memo and
+   record-decoder properties in QCheck's long mode: this many times their
+   tier-1 count. *)
 let campaign_factor = 10
 
 let prop_elf_reader_total =
@@ -118,6 +119,101 @@ let test_bounds_check_overflow () =
   match Feam_elf.Reader.parse (mutate 60641 18 base_image) with
   | Ok _ -> Alcotest.fail "expected the mutated image to be rejected"
   | Error _ -> ()
+
+(* -- the parse memo --------------------------------------------------- *)
+
+(* Valid images from a provisioned site (its C library, MPI stacks and
+   compiler runtimes) plus the two hand-built ones above. *)
+let corpus_images =
+  lazy
+    (let site, _ = Fixtures.small_site ~name:"fuzzcorpus" () in
+     let vfs = Feam_sysmodel.Site.vfs site in
+     Feam_sysmodel.Vfs.all_paths vfs
+     |> List.filter_map (fun path ->
+            match Feam_sysmodel.Vfs.kind_of vfs path with
+            | Some (Feam_sysmodel.Vfs.Elf bytes) -> Some bytes
+            | _ -> None)
+     |> List.sort_uniq String.compare
+     |> List.append [ base_image; symbol_image ]
+     |> Array.of_list)
+
+(* A parse's answer in a form [=] compares: the parsed value is abstract. *)
+let answer data =
+  Result.map
+    (fun t -> Feam_elf.Reader.(spec t, sections t, size t))
+    (Feam_elf.Reader.parse data)
+
+(* Picks are corpus images, mutated [n] times when [n > 0]; up to 600 of
+   them, three in four mutated, so many sequences hold more distinct
+   images than the memo's two generations of 128. *)
+let gen_picks =
+  QCheck.Gen.(
+    list_size (int_range 1 600)
+      (triple nat (int_range 0 100000)
+         (frequency [ (1, return 0); (3, int_range 1 24) ])))
+
+let prop_parse_memo_transparent =
+  QCheck.Test.make ~long_factor:campaign_factor
+    ~name:"fuzz: the parse memo never changes an answer" ~count:30
+    (QCheck.make
+       ~print:(fun picks ->
+         String.concat " "
+           (List.map
+              (fun (i, seed, n) -> Printf.sprintf "%d:mutate %d %d" i seed n)
+              picks))
+       gen_picks)
+    (fun picks ->
+      let corpus = Lazy.force corpus_images in
+      let images =
+        List.map
+          (fun (i, seed, n) ->
+            let image = corpus.(i mod Array.length corpus) in
+            if n = 0 then image else mutate seed n image)
+          picks
+      in
+      (* the second pass re-parses the first images after every other *)
+      let images = images @ images in
+      let cold = List.map answer images in
+      cold = Feam_elf.Reader.with_memo (fun () -> List.map answer images))
+
+(* The memo holds two generations of 128: after 300 distinct images the
+   first is gone, the last 172 (the old generation and the young one)
+   are still held, and an [Error] is memoized like an [Ok]. *)
+let test_parse_memo_evicts () =
+  let counter name =
+    Option.value ~default:0 (Feam_obs.Metrics.counter_value name)
+  in
+  let images =
+    List.init 300 (fun i ->
+        Feam_elf.Builder.build
+          (Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_DYN
+             ~soname:(Printf.sprintf "libmemo%d.so.1" i)
+             Feam_elf.Types.X86_64))
+  in
+  let hits_of f =
+    let hits = counter "elf.parse_memo.hit"
+    and misses = counter "elf.parse_memo.miss" in
+    f ();
+    ( counter "elf.parse_memo.hit" - hits,
+      counter "elf.parse_memo.miss" - misses )
+  in
+  Feam_elf.Reader.with_memo @@ fun () ->
+  let parse image = ignore (Feam_elf.Reader.parse image) in
+  Alcotest.(check (pair int int))
+    "300 distinct images miss" (0, 300)
+    (hits_of (fun () -> List.iter parse images));
+  Alcotest.(check (pair int int))
+    "the newest 172 are held" (172, 0)
+    (hits_of (fun () ->
+         List.iteri (fun i image -> if i >= 128 then parse image) images));
+  Alcotest.(check (pair int int))
+    "the first was evicted" (0, 1)
+    (hits_of (fun () -> parse (List.hd images)));
+  Alcotest.(check (pair int int))
+    "an Error is memoized too" (1, 1)
+    (hits_of (fun () ->
+         parse "not an ELF image";
+         parse "not an ELF image"))
 
 (* A valid bundle, the source of the bundle and manifest documents. *)
 let base_bundle =
@@ -411,6 +507,7 @@ let campaign =
     prop_symbol_tables_total;
     prop_symbol_tables_truncations;
     prop_record_decoders_total;
+    prop_parse_memo_transparent;
   ]
 
 let suite =
@@ -425,6 +522,9 @@ let suite =
       Qseed.to_alcotest prop_symbol_tables_total;
       Qseed.to_alcotest prop_symbol_tables_truncations;
       Qseed.to_alcotest prop_record_decoders_total;
+      Alcotest.test_case "parse memo: two generations of 128, Errors too"
+        `Quick test_parse_memo_evicts;
+      Qseed.to_alcotest prop_parse_memo_transparent;
       Qseed.to_alcotest prop_json_parser_total;
       Qseed.to_alcotest prop_objdump_parser_total;
       Qseed.to_alcotest prop_soname_parser_total;

@@ -33,6 +33,35 @@ let test_parse_rejects () =
       Alcotest.(check bool) ("reject " ^ s) true (Result.is_error (Json.parse s)))
     [ ""; "{"; "[1,]"; "{\"a\"}"; "tru"; "1 2"; "\"unterminated" ]
 
+(* Nesting is capped at 512: exactly 512 levels parse, 513 are a typed
+   error at the offending bracket, for arrays and objects alike. *)
+let test_parse_depth_cap () =
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> "{\"k\":")) ^ "0"
+    ^ String.make n '}'
+  in
+  let deepest v =
+    let rec go d = function
+      | Json.List [ v ] | Json.Obj [ (_, v) ] -> go (d + 1) v
+      | Json.List [] -> d + 1
+      | _ -> d
+    in
+    go 0 v
+  in
+  List.iter
+    (fun (what, doc, bracket_width) ->
+      (match Json.parse (doc 512) with
+      | Ok v -> Alcotest.(check int) (what ^ ": 512 deep parses") 512 (deepest v)
+      | Error e -> Alcotest.failf "%s: 512 deep rejected: %s" what e);
+      Alcotest.(check (result reject string))
+        (what ^ ": 513 deep is rejected")
+        (Error
+           (Printf.sprintf "at offset %d: nesting deeper than 512"
+              (512 * bracket_width)))
+        (Result.map ignore (Json.parse (doc 513))))
+    [ ("arrays", arrays, 1); ("objects", objects, 5) ]
+
 let gen_json =
   let open QCheck.Gen in
   sized (fun n ->
@@ -122,6 +151,8 @@ let suite =
       Alcotest.test_case "render basics" `Quick test_render_basics;
       Alcotest.test_case "parse basics" `Quick test_parse_basics;
       Alcotest.test_case "parse rejects" `Quick test_parse_rejects;
+      Alcotest.test_case "parse caps nesting at 512" `Quick
+        test_parse_depth_cap;
       Qseed.to_alcotest prop_roundtrip;
       Alcotest.test_case "report json" `Quick test_report_json;
       Alcotest.test_case "matrix" `Slow test_matrix;

@@ -200,6 +200,36 @@ let test_inert_update_reevaluates_nothing () =
     (int_field "cells_reevaluated" json);
   Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch engine)
 
+(* A resident daemon's heap stays flat across evidence updates: each
+   update is one batch, so the probe compiles' provenance registrations
+   are undone and the parse and probe memos dropped when it ends. *)
+let test_heap_flat_across_updates () =
+  with_engine @@ fun engine ->
+  let update i =
+    let ue_action =
+      if i mod 2 = 0 then Protocol.Stale_ld_cache else Protocol.Fresh_ld_cache
+    in
+    ignore
+      (handle engine (Protocol.Update_evidence { ue_site = "fir"; ue_action }))
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let warm = ref 0 in
+  for i = 1 to 40 do
+    update i;
+    if i = 10 then warm := live_words ()
+  done;
+  let last = live_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words after update 40 (%d) <= after update 10 (%d)"
+       last !warm)
+    true (last <= !warm);
+  Alcotest.(check bool)
+    "incremental table equals a cold full pass" true
+    (Engine.crosscheck_matches engine)
+
 let test_register_extends_matrix () =
   with_engine @@ fun engine ->
   let before = Engine.resident_cells engine in
@@ -398,6 +428,8 @@ let suite =
         test_update_reevaluates_only_affected;
       Alcotest.test_case "inert updates re-evaluate nothing" `Quick
         test_inert_update_reevaluates_nothing;
+      Alcotest.test_case "daemon heap stays flat across updates" `Quick
+        test_heap_flat_across_updates;
       Alcotest.test_case "registration extends the matrix" `Slow
         test_register_extends_matrix;
       Alcotest.test_case "snapshot dumps a drift epoch" `Quick

@@ -216,6 +216,40 @@ let test_probe_provenance () =
   | Some prov -> Alcotest.(check bool) "probe flag" true prov.Provenance.is_probe
   | None -> Alcotest.fail "no provenance"
 
+(* A scope undoes its registrations: a key it added is gone, a key it
+   overwrote has its old value back, and an inner scope undoes only its
+   own. *)
+let test_provenance_scope () =
+  let site, installs = Fixtures.small_site () in
+  let install = List.hd installs in
+  let compile () =
+    Result.get_ok (Compile.compile_mpi site install Compile.hello_world_mpi)
+  in
+  let kept = compile () in
+  let before = Option.get (Provenance.find kept) in
+  let renamed = { before with Provenance.program_name = "renamed" } in
+  let name image =
+    Option.map (fun p -> p.Provenance.program_name) (Provenance.find image)
+  in
+  let added, inner =
+    Provenance.with_scope @@ fun () ->
+    Provenance.register kept renamed;
+    let added = compile () in
+    let inner = Provenance.with_scope compile in
+    Alcotest.(check (option string))
+      "the inner scope's image is gone" None (name inner);
+    Alcotest.(check (option string))
+      "the outer scope's image outlives the inner scope"
+      (Some before.Provenance.program_name) (name added);
+    (added, inner)
+  in
+  Alcotest.(check (option string))
+    "the overwritten entry is restored" (Some before.Provenance.program_name)
+    (name kept);
+  Alcotest.(check (option string)) "the added entry is gone" None (name added);
+  Alcotest.(check (option string)) "the inner entry stays gone" None
+    (name inner)
+
 let suite =
   ( "toolchain",
     [
@@ -240,4 +274,6 @@ let suite =
       Alcotest.test_case "serial needs compiler" `Quick test_compile_serial_requires_compiler;
       Alcotest.test_case "compile_to installs" `Quick test_compile_to_installs_file;
       Alcotest.test_case "probe provenance" `Quick test_probe_provenance;
+      Alcotest.test_case "provenance scope undoes its registrations" `Quick
+        test_provenance_scope;
     ] )
